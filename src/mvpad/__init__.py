@@ -36,7 +36,6 @@ from .evaluation import (
     confusion_metrics,
     counts_at_threshold,
     fold_metrics,
-    monte_carlo_eval,
     monte_carlo_splits,
     operating_point,
     patient_score,
@@ -106,7 +105,6 @@ from .reconstruction import (
     STAGE_PER_LUNG,
     STAGE_PER_PROJECTION,
     AnomalyVolume,
-    NormConfig,
     back_project_plane,
     binarize_top,
     fuse_final,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -196,16 +197,25 @@ def _cmd_localize(args) -> int:
 
 
 def _read_scores_csv(path) -> list[tuple[float, str]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SCORES_HEADER:
-            raise InvalidArgumentError(f"{path}: expected header {SCORES_HEADER}, got {header}")
-        pairs = []
-        for row in reader:
-            if len(row) != 3:
-                raise InvalidArgumentError(f"{path}: bad row {row}")
-            pairs.append((float(row[1]), row[2]))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidArgumentError(f"{path}: unreadable scores CSV ({exc})") from exc
+    header = rows[0] if rows else None
+    if header != SCORES_HEADER:
+        raise InvalidArgumentError(f"{path}: expected header {SCORES_HEADER}, got {header}")
+    pairs = []
+    for row in rows[1:]:
+        if len(row) != 3:
+            raise InvalidArgumentError(f"{path}: bad row {row}")
+        try:
+            score = float(row[1])
+        except ValueError:
+            raise InvalidArgumentError(f"{path}: score {row[1]!r} is not a number") from None
+        if not math.isfinite(score):
+            raise InvalidArgumentError(f"{path}: score {row[1]!r} is not finite")
+        pairs.append((score, row[2]))
     return pairs
 
 

@@ -8,7 +8,8 @@ segmentation) are switches here rather than code paths elsewhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import InvalidArgumentError
 from .features import ExtractorConfig
@@ -41,6 +42,10 @@ class RunConfig:
     unsegmented: bool = False
 
     def __post_init__(self):
+        if not all(isinstance(v, int) and -(2**15) <= v < 2**15 for v in (self.hu_lo, self.hu_hi)):
+            raise InvalidArgumentError(
+                f"hu_lo, hu_hi must be int16 HU values, got {self.hu_lo!r}, {self.hu_hi!r}"
+            )
         if self.hu_lo >= self.hu_hi:
             raise InvalidArgumentError(f"hu_lo {self.hu_lo} must be < hu_hi {self.hu_hi}")
         if self.method not in ("mip", "aip"):
@@ -59,54 +64,44 @@ class RunConfig:
             raise InvalidArgumentError(f"coreset_frac must be in (0,1], got {self.coreset_frac}")
         if not 0.0 <= self.q < 100.0:
             raise InvalidArgumentError(f"q must be in [0,100), got {self.q}")
-        if self.smoothing_sigma < 0.0:
-            raise InvalidArgumentError(f"smoothing_sigma must be >= 0, got {self.smoothing_sigma}")
+        if not 0.0 <= self.smoothing_sigma < math.inf:
+            raise InvalidArgumentError(
+                f"smoothing_sigma must be finite and >= 0, got {self.smoothing_sigma}"
+            )
         if not 0.0 <= self.localization_pct < 100.0:
             raise InvalidArgumentError(
                 f"localization_pct must be in [0,100), got {self.localization_pct}"
             )
         if not isinstance(self.seed, int):
             raise InvalidArgumentError(f"seed must be an int, got {self.seed!r}")
+        if not isinstance(self.unsegmented, bool):
+            raise InvalidArgumentError(f"unsegmented must be true or false, got {self.unsegmented!r}")
 
     @property
     def ptypes(self) -> tuple[ProjectionType, ...]:
         return tuple(ProjectionType.from_string(name) for name in PROJECTION_SETS[self.projection_set])
 
     def to_dict(self) -> dict:
-        return {
-            "hu_lo": self.hu_lo,
-            "hu_hi": self.hu_hi,
-            "method": self.method,
-            "projection_set": self.projection_set,
-            "canvas": list(self.canvas),
-            "extractor": self.extractor.to_dict(),
-            "coreset_frac": self.coreset_frac,
-            "q": self.q,
-            "smoothing_sigma": self.smoothing_sigma,
-            "localization_pct": self.localization_pct,
-            "seed": self.seed,
-            "unsegmented": self.unsegmented,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["canvas"] = list(self.canvas)
+        out["extractor"] = self.extractor.to_dict()
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise InvalidArgumentError(f"config must be a JSON object, got {type(data).__name__}")
-        known = {
-            "hu_lo", "hu_hi", "method", "projection_set", "canvas", "extractor",
-            "coreset_frac", "q", "smoothing_sigma", "localization_pct", "seed", "unsegmented",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidArgumentError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
-        if "canvas" in kwargs:
-            kwargs["canvas"] = tuple(kwargs["canvas"])
-        if "extractor" in kwargs:
-            kwargs["extractor"] = ExtractorConfig.from_dict(kwargs["extractor"])
         try:
+            if "canvas" in kwargs:
+                kwargs["canvas"] = tuple(kwargs["canvas"])
+            if "extractor" in kwargs:
+                kwargs["extractor"] = ExtractorConfig.from_dict(kwargs["extractor"])
             return cls(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidArgumentError(f"bad config value: {exc}") from exc
 
     @classmethod
@@ -114,7 +109,7 @@ class RunConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
             raise InvalidArgumentError(f"{path}: config is not valid JSON ({exc})") from exc
         return cls.from_dict(data)
 

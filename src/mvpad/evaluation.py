@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -328,11 +328,3 @@ def summarize_folds(per_fold: Sequence[Mapping[str, float | None]]) -> dict:
     summary["std"] = stds
     summary["folds"] = [dict(m) for m in per_fold]
     return summary
-
-
-def monte_carlo_eval(
-    splits: Sequence[FoldSplit],
-    fold_runner: Callable[[FoldSplit], Sequence[tuple[float, str]]],
-) -> dict:
-    """Run a scorer across the folds and aggregate metrics mean +/- std."""
-    return summarize_folds([fold_metrics(fold_runner(split)) for split in splits])

@@ -24,6 +24,7 @@ from scipy import ndimage
 
 from .errors import DimensionMismatchError, InvalidArgumentError
 from .projection import ProjectedImage, ProjectionType
+from .volume import freeze_array
 
 _G = np.exp(-0.5 * np.arange(-2, 3, dtype=np.float64) ** 2)
 _G /= _G.sum()
@@ -70,6 +71,8 @@ class ExtractorConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExtractorConfig":
+        if not isinstance(d, dict):
+            raise InvalidArgumentError(f"extractor config must be an object, got {type(d).__name__}")
         return cls(
             patch_size=int(d.get("patch_size", 9)),
             stride=int(d.get("stride", 4)),
@@ -112,14 +115,11 @@ class FeatureGrid:
     canvas: tuple[int, int] = (256, 256)
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(self.features, dtype=np.float32)
+        feats = freeze_array(self.features, np.float32)
         if feats.ndim != 3:
             raise InvalidArgumentError(f"features must be (H', W', D), got shape {feats.shape}")
         if not np.isfinite(feats).all():
             raise InvalidArgumentError("feature vectors must be finite")
-        if feats.flags.writeable:
-            feats = feats.copy()
-            feats.flags.writeable = False
         object.__setattr__(self, "features", feats)
 
     @property

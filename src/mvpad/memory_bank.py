@@ -11,25 +11,22 @@ Reported distances are exact float64 with a fixed summation order: the bulk
 path uses a BLAS norm expansion only to shortlist candidates and re-measures
 them directly, so it agrees bit-for-bit with scanning every entry. Ties
 break to the lowest index everywhere.
+
+Banks persist as MBNK1 files in the header-line-plus-payload container of
+`volume.read_container`: payload count x feature_dim little-endian float32.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import (
-    DimensionMismatchError,
-    ExtractorMismatchError,
-    HeaderFormatError,
-    InvalidArgumentError,
-    PayloadSizeError,
-)
+from .errors import DimensionMismatchError, ExtractorMismatchError, InvalidArgumentError
 from .features import FeatureGrid
 from .projection import ProjectionType, bilinear_sample
+from .volume import freeze_array, read_container, write_container
 
 DEFAULT_CORESET_FRAC = 0.10
 DEFAULT_SMOOTHING_SIGMA = 4.0
@@ -46,7 +43,7 @@ class MemoryBank:
     source_count: int
 
     def __post_init__(self):
-        entries = np.ascontiguousarray(self.entries, dtype=np.float32)
+        entries = freeze_array(self.entries, np.float32)
         if entries.ndim != 2 or entries.shape[0] < 1:
             raise InvalidArgumentError(f"bank entries must be (C>=1, D), got shape {entries.shape}")
         if not np.isfinite(entries).all():
@@ -57,9 +54,6 @@ class MemoryBank:
             raise InvalidArgumentError(
                 f"source_count {self.source_count} < bank size {entries.shape[0]}"
             )
-        if entries.flags.writeable:
-            entries = entries.copy()
-            entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -80,16 +74,13 @@ class AnomalyMap2D:
     score: float
 
     def __post_init__(self):
-        pixels = np.ascontiguousarray(self.pixels, dtype=np.float32)
+        pixels = freeze_array(self.pixels, np.float32)
         if pixels.ndim != 2:
             raise InvalidArgumentError(f"anomaly map must be 2D, got shape {pixels.shape}")
         if float(pixels.min(initial=0.0)) < 0.0:
             raise InvalidArgumentError("anomaly map pixels must be >= 0")
         if pixels.size and float(self.score) != float(pixels.max()):
             raise InvalidArgumentError("anomaly map score must equal the max pixel")
-        if pixels.flags.writeable:
-            pixels = pixels.copy()
-            pixels.flags.writeable = False
         object.__setattr__(self, "pixels", pixels)
 
 
@@ -316,44 +307,26 @@ def save_bank(bank: MemoryBank, path) -> None:
         "extractor_hash": bank.extractor_hash,
         "coreset_frac": bank.coreset_frac,
     }
-    payload = np.ascontiguousarray(bank.entries, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(payload.tobytes())
+    write_container(path, header, bank.entries)
+
+
+def _mbnk_layout(header: dict) -> tuple:
+    fields = (
+        ProjectionType.from_string(header["projection"]),
+        str(header["extractor_hash"]),
+        float(header["coreset_frac"]),
+    )
+    return fields, np.dtype("<f4"), (int(header["count"]), int(header["feature_dim"]))
 
 
 def load_bank(path) -> MemoryBank:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise HeaderFormatError(f"{path}: missing header line")
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise HeaderFormatError(f"{path}: malformed header ({exc})") from exc
-    if not isinstance(header, dict) or header.get("magic") != "MBNK1":
-        raise HeaderFormatError(f"{path}: bad magic, expected MBNK1")
-    try:
-        ptype = ProjectionType.from_string(header["projection"])
-        dim = int(header["feature_dim"])
-        count = int(header["count"])
-        extractor_hash = str(header["extractor_hash"])
-        coreset_frac = float(header["coreset_frac"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise HeaderFormatError(f"{path}: incomplete header ({exc})") from exc
-    expected = count * dim * 4
-    payload = raw[newline + 1 :]
-    if len(payload) != expected:
-        raise PayloadSizeError(f"{path}: expected {expected} payload bytes, found {len(payload)}")
-    entries = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
+    (ptype, extractor_hash, coreset_frac), entries = read_container(path, "MBNK1", _mbnk_layout)
     # the wire format does not carry the pre-coreset count; count is the
     # tightest value satisfying the bank invariant
     return MemoryBank(
         ptype=ptype,
-        entries=entries.astype(np.float32, copy=True),
+        entries=entries,
         extractor_hash=extractor_hash,
         coreset_frac=coreset_frac,
-        source_count=count,
+        source_count=entries.shape[0],
     )

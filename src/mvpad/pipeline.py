@@ -105,7 +105,8 @@ def compute_case_features(
 ) -> CaseFeatures:
     wanted = tuple(ptypes) if ptypes is not None else cfg.ptypes
     pairs = project_case(
-        case.ct, case.lungs, method=cfg.method, canvas=cfg.canvas, unsegmented=cfg.unsegmented
+        case.ct, case.lungs, method=cfg.method, canvas=cfg.canvas, unsegmented=cfg.unsegmented,
+        hu_lo=cfg.hu_lo, hu_hi=cfg.hu_hi,
     )
     by_ptype = {img.ptype: (img, mask) for img, mask in pairs}
     grids, masks, images = {}, {}, {}

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyMaskError, InvalidArgumentError
-from .volume import Volume, normalize_truncated, truncate_hu
+from .volume import DEFAULT_HU_HI, DEFAULT_HU_LO, Volume, freeze_array, normalize_truncated, truncate_hu
 
 DEFAULT_CANVAS = (256, 256)
 BBOX_MARGIN = 2
@@ -120,7 +120,7 @@ class ProjectedImage:
     pixels: np.ndarray  # (canvas_h, canvas_w) float32 in [0, 1]
 
     def __post_init__(self):
-        object.__setattr__(self, "pixels", _freeze(self.pixels))
+        object.__setattr__(self, "pixels", freeze_array(self.pixels, None))
 
     @property
     def ptype(self) -> ProjectionType:
@@ -133,41 +133,33 @@ class ProjectedMask:
     pixels: np.ndarray  # (canvas_h, canvas_w) uint8 {0, 1}
 
     def __post_init__(self):
-        object.__setattr__(self, "pixels", _freeze(self.pixels))
+        object.__setattr__(self, "pixels", freeze_array(self.pixels, None))
 
     @property
     def ptype(self) -> ProjectionType:
         return self.geometry.ptype
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    if arr.flags.writeable:
-        arr = arr.copy()
-        arr.flags.writeable = False
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # Volume preparation and plane projections
 
 
-def prepare_lung_volume(ct: Volume, lung: Volume) -> Volume:
-    """Mask a CT to one lung, truncate to [-800, 0] HU, normalize to [0, 1].
+def prepare_lung_volume(ct: Volume, lung: Volume, *, hu_lo=DEFAULT_HU_LO, hu_hi=DEFAULT_HU_HI) -> Volume:
+    """Mask a CT to one lung, truncate to [hu_lo, hu_hi] HU, normalize to [0, 1].
 
-    Non-lung voxels are forced to -1000 HU before truncation, so they land
-    exactly at 0.0 in the normalized volume.
+    Non-lung voxels are set to hu_lo before truncation, so they land exactly
+    at 0.0 in the normalized volume.
     """
     if ct.dims != lung.dims:
         raise DimensionMismatchError(f"ct dims {ct.dims} != lung mask dims {lung.dims}")
-    masked = np.where(lung.voxels > 0, ct.voxels, np.int16(-1000))
+    masked = np.where(lung.voxels > 0, ct.voxels, np.int16(hu_lo))
     vol = Volume(masked.astype(np.int16), ct.spacing_mm)
-    return normalize_truncated(truncate_hu(vol))
+    return normalize_truncated(truncate_hu(vol, hu_lo, hu_hi), hu_lo, hu_hi)
 
 
-def prepare_unsegmented_volume(ct: Volume) -> Volume:
+def prepare_unsegmented_volume(ct: Volume, *, hu_lo=DEFAULT_HU_LO, hu_hi=DEFAULT_HU_HI) -> Volume:
     """Ablation path: truncate/normalize the whole volume, no lung masking."""
-    return normalize_truncated(truncate_hu(ct))
+    return normalize_truncated(truncate_hu(ct, hu_lo, hu_hi), hu_lo, hu_hi)
 
 
 def _check_unit_volume(v: Volume, op: str) -> None:
@@ -295,10 +287,14 @@ def project_case(
     method: str = "mip",
     canvas: tuple[int, int] = DEFAULT_CANVAS,
     unsegmented: bool = False,
+    *,
+    hu_lo=DEFAULT_HU_LO,
+    hu_hi=DEFAULT_HU_HI,
 ) -> list[tuple[ProjectedImage, ProjectedMask]]:
     """Project one case into the six canonical (image, mask) pairs.
 
-    With ``unsegmented=True`` the lung masks are ignored (the no-segmentation
+    The CT is windowed to [hu_lo, hu_hi] HU before projection. With
+    ``unsegmented=True`` the lung masks are ignored (the no-segmentation
     ablation): the whole truncated volume is projected and the "mask" is the
     full plane, so the right/left pairs coincide.
     """
@@ -309,7 +305,7 @@ def project_case(
     prepared: dict[str, Volume] = {}
     masks: dict[str, Volume] = {}
     if unsegmented:
-        whole = prepare_unsegmented_volume(ct)
+        whole = prepare_unsegmented_volume(ct, hu_lo=hu_lo, hu_hi=hu_hi)
         full = Volume(np.ones(ct.dims, dtype=np.uint8), ct.spacing_mm)
         for side in ("right", "left"):
             prepared[side] = whole
@@ -317,7 +313,7 @@ def project_case(
     else:
         for side in ("right", "left"):
             side_mask = lung_pair.mask(side)
-            prepared[side] = prepare_lung_volume(ct, side_mask)
+            prepared[side] = prepare_lung_volume(ct, side_mask, hu_lo=hu_lo, hu_hi=hu_hi)
             masks[side] = side_mask
 
     out = []

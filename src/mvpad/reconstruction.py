@@ -24,7 +24,8 @@ from .errors import (
     OverlapError,
 )
 from .memory_bank import AnomalyMap2D
-from .projection import ProjectedMask, ProjectionGeometry, ProjectionType, bilinear_sample
+from .projection import ProjectedMask, ProjectionGeometry, bilinear_sample
+from .volume import freeze_array
 
 DEFAULT_PERCENTILE_Q = 50.0
 DEFAULT_BINARIZE_PCT = 99.5
@@ -41,17 +42,6 @@ _UNIT_RANGE_STAGES = (STAGE_PER_PROJECTION, STAGE_FINAL)
 
 
 @dataclass(frozen=True)
-class NormConfig:
-    """Percentile floor for min-max normalization."""
-
-    q: float = DEFAULT_PERCENTILE_Q
-
-    def __post_init__(self):
-        if not 0.0 <= self.q < 100.0:
-            raise InvalidArgumentError(f"percentile q must be in [0,100), got {self.q}")
-
-
-@dataclass(frozen=True)
 class AnomalyVolume:
     """A 3D anomaly map in CT voxel space, tagged with its fusion stage."""
 
@@ -61,8 +51,8 @@ class AnomalyVolume:
     spacing_mm: tuple[float, float, float] = field(default=(1.0, 1.0, 1.0))
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float32)
-        region = np.ascontiguousarray(self.region, dtype=bool)
+        values = freeze_array(self.values, np.float32)
+        region = freeze_array(self.region, bool)
         if values.ndim != 3:
             raise InvalidArgumentError(f"anomaly volume must be 3D, got shape {values.shape}")
         if region.shape != values.shape:
@@ -77,13 +67,10 @@ class AnomalyVolume:
             raise InvalidArgumentError("anomaly volume values must be >= 0")
         if self.stage in _UNIT_RANGE_STAGES and float(values.max(initial=0.0)) > 1.0:
             raise InvalidArgumentError(f"stage {self.stage} values must be <= 1")
-        if values[~region].any():
+        if np.any(values, where=~region):  # no copy of the outside values
             raise InvalidArgumentError("anomaly volume must be zero outside its region")
-        for mark, arr in (("values", values), ("region", region)):
-            if arr.flags.writeable:
-                arr = arr.copy()
-                arr.flags.writeable = False
-            object.__setattr__(self, mark, arr)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "region", region)
 
     @property
     def dims(self) -> tuple[int, int, int]:

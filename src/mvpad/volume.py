@@ -1,4 +1,4 @@
-"""Volume representation, MVOL file I/O, HU truncation/normalization, resampling.
+"""Volume representation, container file I/O, HU truncation/normalization, resampling.
 
 A Volume is a 3D scalar grid in z->y->x row-major order (z = axial slice
 index) with voxel spacing metadata. Three dtypes are supported:
@@ -10,24 +10,28 @@ index) with voxel spacing metadata. Three dtypes are supported:
 
 Volumes are immutable after construction and safe to share across threads.
 
-The on-disk MVOL format is one UTF-8 JSON header line
-``{"magic":"MVOL1","dims":[Z,Y,X],"spacing_mm":[sz,sy,sx],"dtype":...}``
-terminated by ``\\n``, followed by the raw little-endian voxel payload.
+MVOL volumes and MBNK memory banks share one container: one UTF-8 JSON
+header line (its "magic" names the format) terminated by ``\\n``, then the
+raw little-endian payload. The MVOL header is
+``{"magic":"MVOL1","dims":[Z,Y,X],"spacing_mm":[sz,sy,sx],"dtype":...}``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     HeaderFormatError,
     InvalidArgumentError,
+    MvpadError,
     PayloadSizeError,
     UnknownDtypeError,
 )
@@ -46,6 +50,20 @@ _KIND_TO_CODE = {np.dtype(np.int16): "i16", np.dtype(np.float32): "f32", np.dtyp
 VALID_LABELS = (0, 1, 2)
 
 
+def freeze_array(arr, dtype) -> np.ndarray:
+    """C-contiguous, read-only version of ``arr``, cast to ``dtype`` unless it is None.
+
+    Copies only when ``np.ascontiguousarray`` hands back the caller's own
+    writeable array, so the result never aliases memory the caller can still
+    write, and no array is copied twice.
+    """
+    out = np.ascontiguousarray(arr, dtype=dtype)
+    if out is arr and out.flags.writeable:
+        out = out.copy()
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class Volume:
     """Immutable 3D scalar grid with spacing metadata.
@@ -58,24 +76,21 @@ class Volume:
     spacing_mm: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        vox = np.ascontiguousarray(self.voxels)
+        vox = freeze_array(self.voxels, None)
         if vox.ndim != 3 or min(vox.shape) < 1:
             raise InvalidArgumentError(f"volume must be 3D with all dims >= 1, got shape {vox.shape}")
         if vox.dtype not in _KIND_TO_CODE:
             raise UnknownDtypeError(f"unsupported volume dtype {vox.dtype}")
         if vox.dtype == np.float32:
             lo, hi = float(vox.min()), float(vox.max())
-            if lo < 0.0 or hi > 1.0:
+            if not (lo >= 0.0 and hi <= 1.0):  # also rejects NaN
                 raise InvalidArgumentError(f"float32 volume values must lie in [0,1], got [{lo}, {hi}]")
         elif vox.dtype == np.uint8:
             if int(vox.max(initial=0)) > max(VALID_LABELS):
                 raise InvalidArgumentError("uint8 label volume may only contain {0,1,2}")
         spacing = tuple(float(s) for s in self.spacing_mm)
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise InvalidArgumentError(f"spacing_mm must be 3 positive reals, got {self.spacing_mm}")
-        if vox is self.voxels and vox.flags.writeable:
-            vox = vox.copy()
-        vox.flags.writeable = False
+        if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
+            raise InvalidArgumentError(f"spacing_mm must be 3 positive finite reals, got {self.spacing_mm}")
         object.__setattr__(self, "voxels", vox)
         object.__setattr__(self, "spacing_mm", spacing)
 
@@ -99,7 +114,48 @@ def volumes_equal(a: Volume, b: Volume) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# MVOL file I/O
+# Header-line-plus-payload container (MVOL volumes, MBNK memory banks)
+
+
+def write_container(path, header: dict, payload: np.ndarray) -> None:
+    """Write the JSON header line (keys in insertion order), then the payload
+    as little-endian C-order bytes."""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8"))
+        fh.write(b"\n")
+        fh.write(np.ascontiguousarray(payload, dtype=payload.dtype.newbyteorder("<")))
+
+
+def read_container(path, magic: str, layout: Callable[[dict], tuple]) -> tuple:
+    """Return ``(fields, payload)``, the payload a read-only view of the bytes read.
+
+    ``layout(header)`` parses the format's own fields into ``(fields, dtype,
+    shape)``; a missing or mistyped field becomes a HeaderFormatError.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        raw = fh.read(os.fstat(fh.fileno()).st_size - fh.tell())  # one buffer, no join
+    if not line.endswith(b"\n"):
+        raise HeaderFormatError(f"{path}: missing header line")
+    try:
+        header = json.loads(line[:-1].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise HeaderFormatError(f"{path}: malformed header ({exc})") from exc
+    if not isinstance(header, dict) or header.get("magic") != magic:
+        raise HeaderFormatError(f"{path}: bad magic, expected {magic}")
+    try:
+        fields, dtype, shape = layout(header)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise HeaderFormatError(f"{path}: incomplete header ({exc})") from exc
+    except MvpadError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    if any(d < 1 for d in shape):
+        raise HeaderFormatError(f"{path}: payload dims must be positive ints, got {list(shape)}")
+    expected = math.prod(shape) * dtype.itemsize
+    if len(raw) != expected:
+        raise PayloadSizeError(f"{path}: expected {expected} payload bytes, found {len(raw)}")
+    payload = np.frombuffer(memoryview(raw), dtype=dtype).reshape(shape)
+    return fields, payload.astype(dtype.newbyteorder("="), copy=False)  # a view when native
 
 
 def save_volume(vol: Volume, path) -> None:
@@ -109,44 +165,23 @@ def save_volume(vol: Volume, path) -> None:
         "spacing_mm": list(vol.spacing_mm),
         "dtype": vol.dtype_code,
     }
-    payload = np.ascontiguousarray(vol.voxels, dtype=DTYPE_CODES[vol.dtype_code])
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(payload.tobytes())
+    write_container(path, header, vol.voxels)
+
+
+def _mvol_layout(header: dict) -> tuple:
+    dims = tuple(int(d) for d in header["dims"])
+    if len(dims) != 3:
+        raise HeaderFormatError(f"dims must be 3 positive ints, got {list(dims)}")
+    code = header["dtype"]
+    if not isinstance(code, str) or code not in DTYPE_CODES:
+        raise UnknownDtypeError(f"unknown dtype code {code!r}")
+    spacing = tuple(float(s) for s in header["spacing_mm"])
+    return spacing, DTYPE_CODES[code], dims
 
 
 def load_volume(path) -> Volume:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise HeaderFormatError(f"{path}: missing header line")
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise HeaderFormatError(f"{path}: malformed header ({exc})") from exc
-    if not isinstance(header, dict) or header.get("magic") != "MVOL1":
-        raise HeaderFormatError(f"{path}: bad magic, expected MVOL1")
-    try:
-        dims = [int(d) for d in header["dims"]]
-        spacing = [float(s) for s in header["spacing_mm"]]
-        code = header["dtype"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise HeaderFormatError(f"{path}: incomplete header ({exc})") from exc
-    if len(dims) != 3 or any(d < 1 for d in dims):
-        raise HeaderFormatError(f"{path}: dims must be 3 positive ints, got {dims}")
-    if code not in DTYPE_CODES:
-        raise UnknownDtypeError(f"{path}: unknown dtype code {code!r}")
-    dtype = DTYPE_CODES[code]
-    expected = dims[0] * dims[1] * dims[2] * dtype.itemsize
-    payload = raw[newline + 1 :]
-    if len(payload) != expected:
-        raise PayloadSizeError(f"{path}: expected {expected} payload bytes, found {len(payload)}")
-    vox = np.frombuffer(payload, dtype=dtype).reshape(dims)
-    # frombuffer views the (immutable) bytes; cast to the native in-memory dtype
-    native = vox.astype(dtype.newbyteorder("="), copy=True)
-    return Volume(native, tuple(spacing))
+    spacing, voxels = read_container(path, "MVOL1", _mvol_layout)
+    return Volume(voxels, spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +264,7 @@ class CaseRecord:
 
 
 def write_manifest(records: list[CaseRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
         for rec in records:
@@ -239,24 +274,25 @@ def write_manifest(records: list[CaseRecord], path) -> None:
 
 
 def read_manifest(path) -> list[CaseRecord]:
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise HeaderFormatError(f"{path}: empty manifest") from None
-        if header != MANIFEST_HEADER:
-            raise HeaderFormatError(f"{path}: bad manifest header {header}")
-        records = []
-        seen = set()
-        for row in reader:
-            if len(row) != len(MANIFEST_HEADER):
-                raise HeaderFormatError(f"{path}: bad manifest row {row}")
-            case_id, vol_p, mask_p, label, gt_p = row
-            if case_id in seen:
-                raise InvalidArgumentError(f"{path}: duplicate case_id {case_id!r}")
-            seen.add(case_id)
-            records.append(CaseRecord(case_id, vol_p, mask_p, label, gt_p or None))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise HeaderFormatError(f"{path}: unreadable manifest ({exc})") from exc
+    if not rows:
+        raise HeaderFormatError(f"{path}: empty manifest")
+    if rows[0] != MANIFEST_HEADER:
+        raise HeaderFormatError(f"{path}: bad manifest header {rows[0]}")
+    records = []
+    seen = set()
+    for row in rows[1:]:
+        if len(row) != len(MANIFEST_HEADER):
+            raise HeaderFormatError(f"{path}: bad manifest row {row}")
+        case_id, vol_p, mask_p, label, gt_p = row
+        if case_id in seen:
+            raise InvalidArgumentError(f"{path}: duplicate case_id {case_id!r}")
+        seen.add(case_id)
+        records.append(CaseRecord(case_id, vol_p, mask_p, label, gt_p or None))
     return records
 
 

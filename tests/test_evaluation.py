@@ -18,7 +18,6 @@ from mvpad import (
     confusion_metrics,
     counts_at_threshold,
     fold_metrics,
-    monte_carlo_eval,
     monte_carlo_splits,
     operating_point,
     patient_score,
@@ -272,15 +271,3 @@ class TestFoldAggregation:
         assert out["accuracy"] == 1.0  # None folds are skipped
         assert out["f1"] is None
         assert out["folds"] == folds
-
-    def test_monte_carlo_eval_plumbs_fold_runner(self):
-        normals = [f"n{i}" for i in range(8)]
-        abnormals = [f"a{i}" for i in range(2)]
-        splits = monte_carlo_splits(normals, abnormals, folds=3, seed=1)
-
-        def runner(split):
-            return [(0.1, "normal")] * len(split.test_normal) + [(0.9, "abnormal")] * len(split.test_abnormal)
-
-        out = monte_carlo_eval(splits, runner)
-        assert out["auc"] == 1.0
-        assert len(out["folds"]) == 3

@@ -189,6 +189,14 @@ class TestComputeCaseFeatures:
             gh = (CANVAS[0] - cfg.extractor.patch_size) // cfg.extractor.stride + 1
             assert feats.grids[ptype].features.shape == (gh, gh, 20)
 
+    def test_hu_window_changes_features(self, corpus, cfg, normal_ids):
+        cases, _ = corpus
+        base = compute_case_features(cases[normal_ids[0]], cfg)
+        wide = compute_case_features(cases[normal_ids[0]], cfg.with_overrides(hu_lo=-1000, hu_hi=200))
+        assert any(
+            not np.array_equal(base.grids[p].features, wide.grids[p].features) for p in cfg.ptypes
+        )
+
     def test_ptypes_filter(self, corpus, cfg, normal_ids):
         cases, _ = corpus
         wanted = (ProjectionType.RIGHT_CORONAL,)

@@ -5,6 +5,8 @@ import pytest
 
 from mvpad import (
     ALL_PROJECTIONS,
+    DEFAULT_HU_HI,
+    DEFAULT_HU_LO,
     DimensionMismatchError,
     EmptyMaskError,
     InvalidArgumentError,
@@ -17,11 +19,13 @@ from mvpad import (
     crop_resize_to_canvas,
     generate_case,
     mip_project,
+    normalize_truncated,
     plane_shape,
     prepare_lung_volume,
     project_case,
     project_mask,
     split_left_right,
+    truncate_hu,
 )
 
 
@@ -65,6 +69,13 @@ class TestPrepareLungVolume:
         out = prepare_lung_volume(ct, lung)
         # outside lung -> 0; -400 -> midpoint; -900 clamps to -800 -> 0
         np.testing.assert_array_equal(out.voxels[0, 0], np.float32([0.0, 0.5, 0.0]))
+
+    def test_custom_window(self):
+        ct = Volume(np.array([[[40, -400, -1000, 200]]], dtype=np.int16))
+        lung = Volume(np.array([[[0, 1, 1, 1]]], dtype=np.uint8))
+        out = prepare_lung_volume(ct, lung, hu_lo=-1000, hu_hi=200)
+        # the non-lung fill is hu_lo, so it still maps to exactly 0
+        np.testing.assert_array_equal(out.voxels[0, 0], np.float32([0.0, 0.5, 0.0, 1.0]))
 
     def test_dim_mismatch(self):
         ct = Volume(np.zeros((2, 2, 2), dtype=np.int16))
@@ -274,3 +285,25 @@ class TestProjectCase:
         ct, pair = phantom
         with pytest.raises(InvalidArgumentError):
             project_case(ct, pair, method="median")
+
+    def test_default_window_matches_fixed_window_formula(self, phantom):
+        """The default window reproduces the fixed -1000 fill and [-800, 0]
+        window bit for bit, through to the canvas images."""
+        ct, pair = phantom
+        for side in ("right", "left"):
+            lung = pair.mask(side)
+            fixed = Volume(np.where(lung.voxels > 0, ct.voxels, np.int16(-1000)), ct.spacing_mm)
+            want = normalize_truncated(truncate_hu(fixed))
+            got = prepare_lung_volume(ct, lung)
+            assert got.voxels.tobytes() == want.voxels.tobytes()
+        default = project_case(ct, pair, canvas=(64, 64))
+        explicit = project_case(ct, pair, canvas=(64, 64), hu_lo=DEFAULT_HU_LO, hu_hi=DEFAULT_HU_HI)
+        for (a, _), (b, _) in zip(default, explicit):
+            assert a.pixels.tobytes() == b.pixels.tobytes()
+
+    @pytest.mark.parametrize("unsegmented", [False, True])
+    def test_window_changes_images(self, phantom, unsegmented):
+        ct, pair = phantom
+        default = project_case(ct, pair, canvas=(64, 64), unsegmented=unsegmented)
+        wide = project_case(ct, pair, canvas=(64, 64), unsegmented=unsegmented, hu_lo=-1000, hu_hi=200)
+        assert any(not np.array_equal(a.pixels, b.pixels) for (a, _), (b, _) in zip(default, wide))

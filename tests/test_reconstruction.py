@@ -9,7 +9,6 @@ from mvpad import (
     DimensionMismatchError,
     EmptyMaskError,
     InvalidArgumentError,
-    NormConfig,
     OverlapError,
     ProjectedMask,
     ProjectionGeometry,
@@ -82,11 +81,6 @@ class TestPercentiles:
     def test_minmax_empty_region_raises(self):
         with pytest.raises(EmptyMaskError):
             percentile_minmax(np.zeros(4), np.zeros(4, dtype=bool), 50.0)
-
-    def test_norm_config_validation(self):
-        NormConfig(q=0.0)
-        with pytest.raises(InvalidArgumentError):
-            NormConfig(q=100.0)
 
 
 class TestMaskNormalize2D:

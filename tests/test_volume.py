@@ -22,6 +22,7 @@ from mvpad import (
     volumes_equal,
     write_manifest,
 )
+from mvpad.volume import freeze_array
 
 
 def hu_volume(values, spacing=(1.0, 1.0, 1.0)):
@@ -59,6 +60,14 @@ class TestVolumeContainer:
         vol = Volume(arr)
         arr[0, 0, 0] = 7
         assert vol.voxels[0, 0, 0] == 0
+
+    def test_freeze_array_copies_only_the_callers_writeable_array(self):
+        arr = np.zeros((2, 3), dtype=np.float32)
+        frozen = freeze_array(arr, None)
+        assert frozen is not arr and arr.flags.writeable and not frozen.flags.writeable
+        assert freeze_array(frozen, None) is frozen
+        cast = freeze_array(np.zeros((3, 2), dtype=np.float64).T, np.float32)
+        assert cast.dtype == np.float32 and cast.flags.c_contiguous and not cast.flags.writeable
 
 
 class TestTruncateNormalize:
