@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import InvalidArgumentError
-from .features import ExtractorConfig
+from .features import ExtractorConfig, is_int
 from .memory_bank import DEFAULT_CORESET_FRAC, DEFAULT_SMOOTHING_SIGMA
 from .projection import ALL_PROJECTIONS, DEFAULT_CANVAS, ProjectionType
 from .reconstruction import DEFAULT_BINARIZE_PCT, DEFAULT_PERCENTILE_Q
@@ -54,12 +54,16 @@ class RunConfig:
             raise InvalidArgumentError(
                 f"projection_set must be one of {sorted(PROJECTION_SETS)}, got {self.projection_set!r}"
             )
-        canvas = tuple(int(c) for c in self.canvas)
-        if len(canvas) != 2 or min(canvas) < self.extractor.patch_size:
+        canvas = tuple(self.canvas)
+        if (
+            len(canvas) != 2
+            or not all(is_int(c) for c in canvas)
+            or min(canvas) < self.extractor.patch_size
+        ):
             raise InvalidArgumentError(
-                f"canvas {self.canvas} must be two ints >= patch size {self.extractor.patch_size}"
+                f"canvas {self.canvas!r} must be two ints >= patch size {self.extractor.patch_size}"
             )
-        object.__setattr__(self, "canvas", canvas)
+        object.__setattr__(self, "canvas", tuple(int(c) for c in canvas))
         if not 0.0 < self.coreset_frac <= 1.0:
             raise InvalidArgumentError(f"coreset_frac must be in (0,1], got {self.coreset_frac}")
         if not 0.0 <= self.q < 100.0:
@@ -97,6 +101,8 @@ class RunConfig:
         kwargs = dict(data)
         try:
             if "canvas" in kwargs:
+                if not isinstance(kwargs["canvas"], list):
+                    raise InvalidArgumentError(f"canvas must be a list, got {kwargs['canvas']!r}")
                 kwargs["canvas"] = tuple(kwargs["canvas"])
             if "extractor" in kwargs:
                 kwargs["extractor"] = ExtractorConfig.from_dict(kwargs["extractor"])

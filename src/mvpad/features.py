@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,11 @@ FILTER_BANK: tuple[tuple[str, np.ndarray | None], ...] = (
 STATS = ("mean", "std")
 
 
+def is_int(value) -> bool:
+    """An integer, numpy integers included; bool is not one here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExtractorConfig:
     patch_size: int = 9
@@ -47,14 +53,16 @@ class ExtractorConfig:
     scales: tuple[int, ...] = (1, 2)
 
     def __post_init__(self):
-        if self.patch_size < 1 or self.patch_size % 2 == 0:
-            raise InvalidArgumentError(f"patch_size must be odd and >= 1, got {self.patch_size}")
-        if self.stride < 1:
-            raise InvalidArgumentError(f"stride must be >= 1, got {self.stride}")
-        scales = tuple(int(s) for s in self.scales)
-        if not scales or any(s < 1 for s in scales):
-            raise InvalidArgumentError(f"scales must be positive ints, got {self.scales}")
-        object.__setattr__(self, "scales", scales)
+        if not is_int(self.patch_size) or self.patch_size < 1 or self.patch_size % 2 == 0:
+            raise InvalidArgumentError(f"patch_size must be an odd int >= 1, got {self.patch_size!r}")
+        if not is_int(self.stride) or self.stride < 1:
+            raise InvalidArgumentError(f"stride must be an int >= 1, got {self.stride!r}")
+        scales = tuple(self.scales)
+        if not scales or not all(is_int(s) and s >= 1 for s in scales):
+            raise InvalidArgumentError(f"scales must be positive ints, got {self.scales!r}")
+        object.__setattr__(self, "patch_size", int(self.patch_size))
+        object.__setattr__(self, "stride", int(self.stride))
+        object.__setattr__(self, "scales", tuple(int(s) for s in scales))
 
     @property
     def feature_dim(self) -> int:
@@ -73,11 +81,12 @@ class ExtractorConfig:
     def from_dict(cls, d: dict) -> "ExtractorConfig":
         if not isinstance(d, dict):
             raise InvalidArgumentError(f"extractor config must be an object, got {type(d).__name__}")
-        return cls(
-            patch_size=int(d.get("patch_size", 9)),
-            stride=int(d.get("stride", 4)),
-            scales=tuple(int(s) for s in d.get("scales", (1, 2))),
-        )
+        kwargs = {key: d[key] for key in ("patch_size", "stride", "scales") if key in d}
+        if "scales" in kwargs:
+            if not isinstance(kwargs["scales"], list):
+                raise InvalidArgumentError(f"scales must be a list, got {kwargs['scales']!r}")
+            kwargs["scales"] = tuple(kwargs["scales"])
+        return cls(**kwargs)
 
     @property
     def extractor_hash(self) -> str:

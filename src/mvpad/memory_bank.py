@@ -7,10 +7,11 @@ to its nearest bank entry; the distance grid is bilinearly painted onto the
 canvas, optionally Gaussian-smoothed, and its maximum is the projection's
 anomaly score.
 
-Reported distances are exact float64 with a fixed summation order: the bulk
-path uses a BLAS norm expansion only to shortlist candidates and re-measures
-them directly, so it agrees bit-for-bit with scanning every entry. Ties
-break to the lowest index everywhere.
+Reported distances are exact float64 with a fixed summation order. The bulk
+path de-duplicates the bank, uses a k-d tree only to find each query's
+nearest entry and re-measures it directly; queries with a near-tie re-measure
+every entry within a tiny margin at once. So it agrees bit-for-bit with
+scanning every entry. Ties break to the lowest index everywhere.
 
 Banks persist as MBNK1 files in the header-line-plus-payload container of
 `volume.read_container`: payload count x feature_dim little-endian float32.
@@ -18,12 +19,19 @@ Banks persist as MBNK1 files in the header-line-plus-payload container of
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
-from .errors import DimensionMismatchError, ExtractorMismatchError, InvalidArgumentError
+from .errors import (
+    DimensionMismatchError,
+    ExtractorMismatchError,
+    HeaderFormatError,
+    InvalidArgumentError,
+)
 from .features import FeatureGrid
 from .projection import ProjectionType, bilinear_sample
 from .volume import freeze_array, read_container, write_container
@@ -179,6 +187,12 @@ def build_bank(train_grids: list[FeatureGrid], coreset_frac: float = DEFAULT_COR
 # Nearest-neighbor scoring
 
 
+def _sqdist(e: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise squared distances with the plain elementwise full-scan sum."""
+    diff = e - q
+    return (diff * diff).sum(axis=1)
+
+
 def nn_distance(query: np.ndarray, bank: MemoryBank) -> tuple[float, int]:
     """Exact Euclidean distance to the nearest bank entry (tie: lowest index)."""
     q = np.asarray(query, dtype=np.float64).ravel()
@@ -186,62 +200,62 @@ def nn_distance(query: np.ndarray, bank: MemoryBank) -> tuple[float, int]:
         raise InvalidArgumentError("cannot query an empty bank")
     if q.shape[0] != bank.feature_dim:
         raise DimensionMismatchError(f"query dim {q.shape[0]} != bank dim {bank.feature_dim}")
-    diff = bank.entries.astype(np.float64) - q
-    sqdist = (diff * diff).sum(axis=1)
+    sqdist = _sqdist(bank.entries.astype(np.float64), q)
     idx = int(np.argmin(sqdist))
     return float(np.sqrt(sqdist[idx])), idx
 
 
-_NN_BLOCK = 256  # keeps the per-block score matrix cache-resident
+# A tree distance within this relative (plus absolute, for zero distances)
+# margin of the nearest one is a possible tie; the margin is far above the
+# float64 rounding error of a 20-term sum.
+_TIE_RTOL = 1e-9
+_TIE_ATOL = 1e-150
 
 
 def bulk_nn_distance(queries: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest-entry squared distances and indices for many queries.
 
-    A float32 BLAS |e|^2 - 2q.e expansion (the per-query |q|^2 term cancels
-    out of the comparison) narrows each query to the entries within a safety
-    margin of its minimum; those few candidates are then re-measured with
-    the plain elementwise sum, so the returned values and lowest-index tie
-    wins are identical to scanning every entry directly. The margin dwarfs
-    the expansion's worst-case rounding error, which keeps the true nearest
-    entry inside the shortlist.
+    Exact duplicate entries are dropped first, keeping each first
+    occurrence, and a k-d tree is built on the rest. The tree finds each
+    query's two nearest entries; the nearest is re-measured with the plain
+    elementwise sum of a full scan, so the returned float64 values equal
+    scanning every entry bit for bit. A query whose second tree distance is
+    within a tiny relative margin of the first is a possible tie: all
+    entries within that margin are re-measured at once and the smallest
+    distance wins, the lowest entry index on equal distances.
     """
     q = np.ascontiguousarray(queries, dtype=np.float64)
     e = np.ascontiguousarray(entries, dtype=np.float64)
     if q.ndim != 2 or e.ndim != 2 or q.shape[1] != e.shape[1]:
         raise DimensionMismatchError(f"query shape {q.shape} incompatible with entries {e.shape}")
-    q32 = q.astype(np.float32)
-    e32 = e.astype(np.float32)
-    e32t = e32.T.copy()
-    en32 = np.einsum("ij,ij->i", e32, e32)
-    en_max = float(en32.max(initial=0.0))
-    best = np.empty(q.shape[0], dtype=np.float64)
-    best_idx = np.empty(q.shape[0], dtype=np.int64)
-    for start in range(0, q.shape[0], _NN_BLOCK):
-        block = q32[start : start + _NN_BLOCK]
-        # values beyond float32 range turn the shortlist into NaNs; that is
-        # fine, the empty-candidate fallback below rescans those rows exactly
-        with np.errstate(over="ignore", invalid="ignore"):
-            qn = np.einsum("ij,ij->i", block, block)
-            approx = block @ e32t
-            approx *= np.float32(-2.0)
-            approx += en32[None, :]
-            # margin way above the float32 expansion's worst-case rounding
-            # error, so the true nearest entry (and every exact tie) makes
-            # the shortlist
-            cut = approx.min(axis=1) + 1e-3 * np.maximum(1.0, qn + en_max)
-        rows, cols = (approx <= cut[:, None]).nonzero()
-        bounds = np.searchsorted(rows, np.arange(block.shape[0] + 1))
-        for row in range(block.shape[0]):
-            cand = cols[bounds[row] : bounds[row + 1]]
-            if cand.size == 0:  # float32 range overflow: fall back to a full scan
-                cand = np.arange(e.shape[0])
-            diff = e[cand] - q[start + row]
-            d2 = (diff * diff).sum(axis=1)
-            j = int(np.argmin(d2))
-            best[start + row] = d2[j]
-            best_idx[start + row] = cand[j]
-    return best, best_idx
+    if e.shape[0] < 1:
+        raise InvalidArgumentError("cannot query an empty bank")
+    if not (np.isfinite(q).all() and np.isfinite(e).all()):
+        raise InvalidArgumentError("queries and entries must be finite")
+    _, first = np.unique(e, axis=0, return_index=True)
+    keep = np.sort(first)
+    eu = e[keep]
+    tree = cKDTree(eu)
+    # a missing neighbor comes back at distance inf: the second one of a
+    # one-entry bank, or every one when all squared distances overflow, in
+    # which case a full scan ties them all and picks entry 0
+    dist, near = tree.query(q, k=[1, 2])
+    overflow = np.isinf(dist[:, 0])
+    nearest = np.where(overflow, 0, near[:, 0])
+    best = _sqdist(eu[nearest], q)
+    radius = dist[:, 0] * (1.0 + _TIE_RTOL) + _TIE_ATOL
+    rows = np.flatnonzero((dist[:, 1] <= radius) & ~overflow)
+    if rows.size:
+        balls = tree.query_ball_point(q[rows], radius[rows])
+        sizes = np.fromiter(map(len, balls), dtype=np.intp, count=rows.size)
+        cand = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=sizes.sum())
+        owner = np.repeat(rows, sizes)
+        d2 = _sqdist(eu[cand], q[owner])
+        order = np.lexsort((cand, d2, owner))  # per owner: smallest d2, then lowest index
+        win = order[np.searchsorted(owner[order], rows)]
+        best[rows] = d2[win]
+        nearest[rows] = cand[win]
+    return best, keep[nearest]
 
 
 def _distance_grid(test_grid: FeatureGrid, bank: MemoryBank) -> np.ndarray:
@@ -311,8 +325,12 @@ def save_bank(bank: MemoryBank, path) -> None:
 
 
 def _mbnk_layout(header: dict) -> tuple:
+    try:
+        ptype = ProjectionType.from_string(header["projection"])
+    except InvalidArgumentError as exc:
+        raise HeaderFormatError(str(exc)) from exc
     fields = (
-        ProjectionType.from_string(header["projection"]),
+        ptype,
         str(header["extractor_hash"]),
         float(header["coreset_frac"]),
     )

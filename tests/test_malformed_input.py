@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mvpad import (
+    ExtractorConfig,
     HeaderFormatError,
     InvalidArgumentError,
     MANIFEST_HEADER,
@@ -126,6 +127,22 @@ class TestContainerHeaders:
                      "--banks", banks, "--out", tmp_path / "loc")
         assert rc == HeaderFormatError.exit_code == 4
 
+    @pytest.mark.parametrize("name", ["sideways", "", 3, None, ["right_axial"]])
+    def test_bank_rejects_unknown_projection(self, tmp_path, name):
+        path = tmp_path / "b.mbnk"
+        path.write_bytes(mbnk(projection=name))
+        with pytest.raises(HeaderFormatError):
+            load_bank(path)
+
+    def test_cli_localize_exits_4_on_unknown_bank_projection(self, tmp_path, capsys):
+        banks = tmp_path / "banks"
+        banks.mkdir()
+        for ptype in ProjectionType:
+            (banks / bank_filename(ptype)).write_bytes(mbnk(projection="sideways"))
+        rc = run_cli(capsys, "localize", "--manifest", tmp_path / "unused.csv",
+                     "--banks", banks, "--out", tmp_path / "loc")
+        assert rc == HeaderFormatError.exit_code == 4
+
     def test_cli_project_exits_6_on_non_string_dtype(self, tmp_path, capsys):
         (tmp_path / "ct.mvol").write_bytes(mvol(dtype=[]))
         manifest = tmp_path / "m.csv"
@@ -154,6 +171,47 @@ class TestConfigScoresManifest:
     def test_from_dict_raises_invalid_argument(self, data):
         with pytest.raises(InvalidArgumentError):
             RunConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"canvas": [64.9, 64]},
+            {"canvas": [64, 64.0]},
+            {"canvas": [True, 64]},
+            {"canvas": "ab"},
+            {"canvas": {"64": 64}},
+            {"extractor": {"patch_size": "9"}},
+            {"extractor": {"patch_size": 9.0}},
+            {"extractor": {"patch_size": True}},
+            {"extractor": {"stride": 4.5}},
+            {"extractor": {"stride": "4"}},
+            {"extractor": {"stride": True}},
+            {"extractor": {"scales": "12"}},
+            {"extractor": {"scales": 1}},
+            {"extractor": {"scales": {"1": 2}}},
+            {"extractor": {"scales": [1.0, 2]}},
+            {"extractor": {"scales": [True]}},
+            {"extractor": {"scales": ["1"]}},
+        ],
+        ids=lambda data: json.dumps(data),
+    )
+    def test_from_dict_rejects_values_it_would_coerce(self, data):
+        with pytest.raises(InvalidArgumentError):
+            RunConfig.from_dict(data)
+
+    def test_python_callers_pass_int_tuples(self):
+        cfg = RunConfig(canvas=(np.int64(64), 64))
+        assert cfg.canvas == (64, 64) and all(type(c) is int for c in cfg.canvas)
+        assert RunConfig.from_dict({"canvas": [64, 64], "extractor": {"scales": [1]}}) == RunConfig(
+            canvas=(64, 64), extractor=ExtractorConfig(scales=(1,))
+        )
+
+    def test_cli_coerced_config_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"canvas": [64.9, 64], "extractor": {"scales": "12", "patch_size": "9"}}')
+        rc = run_cli(capsys, "project", "--manifest", tmp_path / "m.csv",
+                     "--config", cfg, "--out", tmp_path / "p")
+        assert rc == InvalidArgumentError.exit_code == 3
 
     def test_to_dict_keeps_field_order(self):
         assert list(RunConfig().to_dict()) == [

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvpad import (
     AnomalyMap2D,
@@ -248,6 +250,107 @@ class TestBulkNN:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             bulk_nn_distance(np.zeros((2, 3)), np.zeros((2, 4)))
+
+
+def full_scan(queries, entries):
+    """The oracle: plain elementwise squared distances to every entry, argmin."""
+    e = np.asarray(entries, dtype=np.float64)
+    d2, idx = [], []
+    for q in np.asarray(queries, dtype=np.float64):
+        diff = e - q
+        row = (diff * diff).sum(axis=1)
+        j = int(np.argmin(row))
+        d2.append(row[j])
+        idx.append(j)
+    return np.array(d2, dtype=np.float64), np.array(idx, dtype=np.int64)
+
+
+def assert_matches_full_scan(queries, entries):
+    queries = np.asarray(queries, dtype=np.float64).reshape(-1, entries.shape[1])
+    d2, idx = bulk_nn_distance(queries, entries)
+    ref_d2, ref_idx = full_scan(queries, entries)
+    np.testing.assert_array_equal(idx, ref_idx)
+    assert d2.tobytes() == ref_d2.tobytes()
+
+
+NN_PROPS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def lattice_nn_case(draw, dims=st.integers(1, 4), max_unique=8):
+    """Small-integer lattice entries, some repeated and all shuffled, scaled
+    by 1, 2**-20 or 1e25 and optionally shifted to near 1e25, with lattice or
+    half-lattice queries: nearly every query ties."""
+    d = draw(dims)
+    point = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    unique = draw(st.lists(point, min_size=1, max_size=max_unique, unique_by=tuple))
+    repeats = draw(st.lists(st.sampled_from(unique), max_size=2 * max_unique))
+    rows = draw(st.permutations(unique + repeats))
+    queries = draw(st.lists(st.lists(st.integers(-5, 5), min_size=d, max_size=d), max_size=12))
+    scale = draw(st.sampled_from([1.0, 2.0**-20, 1e25]))
+    shift = draw(st.sampled_from([0.0, 1e25]))
+    entries = shift + scale * np.array(rows, dtype=np.float64)
+    return shift + scale * np.array(queries, dtype=np.float64).reshape(-1, d) / 2, entries
+
+
+class TestBulkNNContract:
+    """bulk_nn_distance equals the full-scan oracle bit for bit on tie-heavy input."""
+
+    @NN_PROPS
+    @given(case=lattice_nn_case())
+    def test_lattice_with_shuffled_duplicates(self, case):
+        assert_matches_full_scan(*case)
+
+    @NN_PROPS
+    @given(case=lattice_nn_case(dims=st.just(1)))
+    def test_one_dimension(self, case):
+        assert_matches_full_scan(*case)
+
+    @NN_PROPS
+    @given(case=lattice_nn_case(max_unique=1))
+    def test_one_entry_bank(self, case):
+        queries, entries = case
+        assert_matches_full_scan(queries, entries[:1])
+        assert_matches_full_scan(queries, entries)  # one unique row, repeated
+
+    @NN_PROPS
+    @given(
+        entries=st.lists(st.floats(-3, 3, width=32), min_size=3, max_size=30).map(
+            lambda xs: np.array(xs[: len(xs) // 3 * 3], dtype=np.float32).reshape(-1, 3)
+        ),
+        queries=st.lists(st.floats(-3, 3), min_size=3, max_size=30).map(
+            lambda xs: np.array(xs[: len(xs) // 3 * 3]).reshape(-1, 3)
+        ),
+    )
+    def test_arbitrary_float32_banks(self, entries, queries):
+        assert_matches_full_scan(queries, entries)
+
+    def test_real_sized_bank_with_zero_background(self):
+        rng = np.random.default_rng(72)
+        entries = rng.random((1500, 20), dtype=np.float32)
+        entries[rng.random(1500) < 0.3] = 0.0  # a third of the rows tie at the origin
+        queries = rng.random((2000, 20), dtype=np.float32).astype(np.float64)
+        queries[::3] = 0.0
+        queries[1::7] = entries[rng.integers(0, 1500, size=queries[1::7].shape[0])]
+        assert_matches_full_scan(queries, entries)
+
+    def test_overflowing_distances_tie_to_entry_zero(self):
+        entries = np.array([[1e200, 0.0], [0.0, 1e200], [1e200, 0.0]])
+        queries = np.array([[1e200, 1.0], [-1e200, -1e200], [0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            assert_matches_full_scan(queries, entries)
+
+    def test_no_queries(self):
+        d2, idx = bulk_nn_distance(np.zeros((0, 2)), np.ones((3, 2)))
+        assert d2.shape == idx.shape == (0,)
+
+    def test_rejects_empty_bank_and_non_finite_input(self):
+        with pytest.raises(InvalidArgumentError):
+            bulk_nn_distance(np.zeros((1, 2)), np.zeros((0, 2)))
+        with pytest.raises(InvalidArgumentError):
+            bulk_nn_distance(np.full((1, 2), np.nan), np.zeros((1, 2)))
+        with pytest.raises(InvalidArgumentError):
+            bulk_nn_distance(np.zeros((1, 2)), np.full((1, 2), np.inf))
 
 
 class TestAnomalyMap:

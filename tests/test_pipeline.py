@@ -5,9 +5,15 @@ reduced canvas so the whole module runs in seconds; statistical quality at
 full scale lives in the acceptance suite.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mvpad
 from mvpad import (
     ALL_PROJECTIONS,
     Calibration,
@@ -427,6 +433,47 @@ class TestMonteCarloRun:
         only_normals = {cid: cases[cid] for cid in normal_ids}
         with pytest.raises(InsufficientDataError):
             monte_carlo_run(only_normals, cfg, folds=1)
+
+
+# Builds coronal banks from the normals of a manifest, scores its first
+# abnormal case, and prints one hash of the bank bytes and the map bytes.
+BANK_AND_SCORE = """
+import hashlib, sys
+from mvpad import RunConfig, build_banks, case_anomaly_maps, compute_case_features, load_manifest_cases
+
+cases, records = load_manifest_cases(sys.argv[1])
+cfg = RunConfig(canvas=(64, 64), projection_set="coronal-only")
+feats = {r.case_id: compute_case_features(cases[r.case_id], cfg) for r in records}
+banks = build_banks([feats[r.case_id] for r in records if r.label == "normal"], cfg)
+test = next(feats[r.case_id] for r in records if r.label == "abnormal")
+maps = case_anomaly_maps(test, banks, cfg)
+digest = hashlib.sha256()
+for ptype in cfg.ptypes:
+    digest.update(banks[ptype].entries.tobytes())
+    digest.update(maps[ptype].pixels.tobytes())
+print(banks[cfg.ptypes[0]].count, digest.hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    """Four normals give 784 bank rows per projection, enough for OpenBLAS to
+    split the coreset's matrix-vector products across threads by default."""
+    manifest = generate_dataset(
+        4, 1, seed=405, out_dir=tmp_path, dims=SMALL_DIMS, vessel_count=6, radius_range=(2.0, 3.0)
+    )
+    src = str(Path(mvpad.__file__).resolve().parent.parent)
+    base = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        proc = subprocess.run(
+            [sys.executable, "-c", BANK_AND_SCORE, str(manifest)],
+            env={**base, **threads}, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].split()[0] == str(coreset_size(4 * 14 * 14, RunConfig().coreset_frac))
+    assert outputs[0] == outputs[1]
 
 
 def fold_auc_of(pairs):
