@@ -7,7 +7,6 @@ import tempfile
 from pathlib import Path
 
 from mvpad import (
-    FeatureCache,
     RunConfig,
     generate_dataset,
     load_manifest_cases,
@@ -20,9 +19,9 @@ out = Path(tempfile.mkdtemp(prefix="mvpad_demo_"))
 manifest = generate_dataset(14, 5, seed=3, out_dir=out)
 cases, _ = load_manifest_cases(manifest)
 
-# the cache shares per-case features across folds, so only banks and
-# calibration are recomputed per split
-summary = monte_carlo_run(cases, cfg, folds=3, cache=FeatureCache())
+# each case is projected and featurized once and shared across folds, so only
+# banks and calibration are recomputed per split
+summary = monte_carlo_run(cases, cfg, folds=3)
 
 print(f"{len(summary['folds'])} folds over {len(cases)} cases")
 for fold_idx, fold in enumerate(summary["folds"]):

@@ -22,11 +22,6 @@ from .errors import (
     UnknownDtypeError,
 )
 from .evaluation import (
-    CALIBRATION_PERCENTILE,
-    DEFAULT_CAL_FRAC,
-    DEFAULT_FOLDS,
-    LABEL_ABNORMAL,
-    LABEL_NORMAL,
     METRIC_NAMES,
     Calibration,
     ConfusionCounts,
@@ -42,10 +37,8 @@ from .evaluation import (
     roc_auc,
     summarize_folds,
 )
-from .features import ExtractorConfig, FeatureGrid, extract_features, grid_dims, grid_to_pixel
+from .features import ExtractorConfig, FeatureGrid, extract_features, grid_dims
 from .memory_bank import (
-    DEFAULT_CORESET_FRAC,
-    DEFAULT_SMOOTHING_SIGMA,
     AnomalyMap2D,
     MemoryBank,
     aggregate_bank,
@@ -61,16 +54,12 @@ from .memory_bank import (
 )
 from .phantom import AnomalySpec, PhantomConfig, generate_case, generate_dataset
 from .pipeline import (
-    CaseFeatures,
     FeatureCache,
-    FoldResult,
-    LoadedCase,
     LocalizationResult,
     build_banks,
     calibrate_from_cases,
     case_anomaly_maps,
     compute_case_features,
-    load_case,
     load_manifest_cases,
     localize_case,
     monte_carlo_run,
@@ -80,27 +69,19 @@ from .pipeline import (
 )
 from .projection import (
     ALL_PROJECTIONS,
-    BBOX_MARGIN,
-    DEFAULT_CANVAS,
     ProjectedImage,
     ProjectedMask,
     ProjectionGeometry,
     ProjectionType,
     aip_project,
-    bilinear_sample,
     crop_resize_to_canvas,
-    mask_bbox,
     mip_project,
-    nearest_sample,
     plane_shape,
     prepare_lung_volume,
-    prepare_unsegmented_volume,
     project_case,
     project_mask,
 )
 from .reconstruction import (
-    DEFAULT_BINARIZE_PCT,
-    DEFAULT_PERCENTILE_Q,
     STAGE_FINAL,
     STAGE_PER_LUNG,
     STAGE_PER_PROJECTION,
@@ -126,7 +107,6 @@ from .volume import (
     load_volume,
     normalize_truncated,
     read_manifest,
-    resample_nearest,
     resolve_manifest_path,
     save_volume,
     truncate_hu,

@@ -25,6 +25,7 @@ from .phantom import generate_dataset
 from .pipeline import (
     build_banks,
     calibrate_from_cases,
+    case_projections,
     compute_case_features,
     load_manifest_cases,
     localize_case,
@@ -72,7 +73,10 @@ def _load_banks(banks_dir, cfg: RunConfig) -> dict[ProjectionType, object]:
 
 def _cmd_phantom(args) -> int:
     cfg = _load_config(args)
-    dims = tuple(int(d) for d in args.dims.split(",")) if args.dims else (64, 96, 96)
+    try:
+        dims = tuple(int(d) for d in args.dims.split(",")) if args.dims else (64, 96, 96)
+    except ValueError:
+        raise InvalidArgumentError(f"--dims needs integers Z,Y,X, got {args.dims!r}") from None
     if len(dims) != 3:
         raise InvalidArgumentError(f"--dims needs Z,Y,X, got {args.dims!r}")
     manifest = generate_dataset(
@@ -95,11 +99,8 @@ def _cmd_project(args) -> int:
 
     def run_one(record) -> None:
         case = cases[record.case_id]
-        feats = compute_case_features(case, cfg)
         sidecar = {"case_id": case.case_id, "method": cfg.method, "projections": {}}
-        for ptype in cfg.ptypes:
-            img = feats.images[ptype]
-            mask = feats.masks[ptype]
+        for ptype, (img, mask) in case_projections(case, cfg).items():
             img_vol = Volume(img.pixels[None, :, :], (1.0, 1.0, 1.0))
             mask_vol = Volume(mask.pixels[None, :, :], (1.0, 1.0, 1.0))
             save_volume(img_vol, out_dir / f"{case.case_id}_{ptype.value}_img.mvol")
@@ -236,6 +237,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_segment_eval(args) -> int:
     cases, records = load_manifest_cases(args.manifest)
+    if not records:
+        raise InsufficientDataError(f"{args.manifest}: no cases to evaluate")
 
     def eval_one(record) -> dict:
         case = cases[record.case_id]

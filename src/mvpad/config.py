@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import InvalidArgumentError
-from .features import ExtractorConfig, is_int
+from .features import ExtractorConfig
 from .memory_bank import DEFAULT_CORESET_FRAC, DEFAULT_SMOOTHING_SIGMA
 from .projection import ALL_PROJECTIONS, DEFAULT_CANVAS, ProjectionType
 from .reconstruction import DEFAULT_BINARIZE_PCT, DEFAULT_PERCENTILE_Q
-from .volume import DEFAULT_HU_HI, DEFAULT_HU_LO
+from .volume import DEFAULT_HU_HI, DEFAULT_HU_LO, is_int
 
 # named projection subsets; each expands in canonical order
 PROJECTION_SETS = {

@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import DimensionMismatchError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .projection import ProjectedImage, ProjectionType
-from .volume import freeze_array
+from .volume import freeze_array, is_int
 
 _G = np.exp(-0.5 * np.arange(-2, 3, dtype=np.float64) ** 2)
 _G /= _G.sum()
@@ -39,11 +38,6 @@ FILTER_BANK: tuple[tuple[str, np.ndarray | None], ...] = (
 )
 
 STATS = ("mean", "std")
-
-
-def is_int(value) -> bool:
-    """An integer, numpy integers included; bool is not one here."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -104,16 +98,6 @@ def grid_dims(canvas: tuple[int, int], cfg: ExtractorConfig) -> tuple[int, int]:
     )
 
 
-def grid_to_pixel(loc: tuple[int, int], cfg: ExtractorConfig, canvas: tuple[int, int]):
-    """Patch footprint rectangle (r0, c0, r1, c1), end-exclusive."""
-    gh, gw = grid_dims(canvas, cfg)
-    i, j = loc
-    if not (0 <= i < gh and 0 <= j < gw):
-        raise InvalidArgumentError(f"grid location {loc} outside grid {gh}x{gw}")
-    r0, c0 = i * cfg.stride, j * cfg.stride
-    return (r0, c0, r0 + cfg.patch_size, c0 + cfg.patch_size)
-
-
 @dataclass(frozen=True)
 class FeatureGrid:
     ptype: ProjectionType
@@ -139,18 +123,9 @@ class FeatureGrid:
     def feature_dim(self) -> int:
         return self.features.shape[2]
 
-    @property
-    def n_locations(self) -> int:
-        return self.features.shape[0] * self.features.shape[1]
-
     def flat(self) -> np.ndarray:
         """(H'*W', D) row-major view of the feature vectors."""
         return self.features.reshape(-1, self.features.shape[2])
-
-    def location_map(self, loc: tuple[int, int]) -> tuple[float, float]:
-        """Canvas pixel-center of a grid location's patch."""
-        half = (self.patch_size - 1) / 2.0
-        return (loc[0] * self.stride + half, loc[1] * self.stride + half)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .evaluation import (
     summarize_folds,
     fold_metrics,
 )
-from .features import ExtractorConfig, FeatureGrid, extract_features
+from .features import FeatureGrid, extract_features
 from .memory_bank import AnomalyMap2D, MemoryBank, anomaly_map, build_bank
 from .projection import ProjectedImage, ProjectedMask, ProjectionType, project_case
 from .reconstruction import (
@@ -85,7 +85,19 @@ def load_manifest_cases(manifest_path) -> tuple[dict[str, LoadedCase], list[Case
 
 
 # ---------------------------------------------------------------------------
-# Feature extraction with caching
+# Projection and feature extraction
+
+
+def case_projections(
+    case: LoadedCase, cfg: RunConfig
+) -> dict[ProjectionType, tuple[ProjectedImage, ProjectedMask]]:
+    """The case's (image, mask) pair for each configured projection type."""
+    pairs = project_case(
+        case.ct, case.lungs, method=cfg.method, canvas=cfg.canvas, unsegmented=cfg.unsegmented,
+        hu_lo=cfg.hu_lo, hu_hi=cfg.hu_hi,
+    )
+    by_ptype = {img.ptype: (img, mask) for img, mask in pairs}
+    return {ptype: by_ptype[ptype] for ptype in cfg.ptypes}
 
 
 @dataclass(frozen=True)
@@ -95,84 +107,37 @@ class CaseFeatures:
     case_id: str
     grids: Mapping[ProjectionType, FeatureGrid]
     masks: Mapping[ProjectionType, ProjectedMask]
-    images: Mapping[ProjectionType, ProjectedImage]
 
 
-def compute_case_features(
-    case: LoadedCase,
-    cfg: RunConfig,
-    ptypes: Sequence[ProjectionType] | None = None,
-) -> CaseFeatures:
-    wanted = tuple(ptypes) if ptypes is not None else cfg.ptypes
-    pairs = project_case(
-        case.ct, case.lungs, method=cfg.method, canvas=cfg.canvas, unsegmented=cfg.unsegmented,
-        hu_lo=cfg.hu_lo, hu_hi=cfg.hu_hi,
+def compute_case_features(case: LoadedCase, cfg: RunConfig) -> CaseFeatures:
+    projections = case_projections(case, cfg)
+    return CaseFeatures(
+        case_id=case.case_id,
+        grids={ptype: extract_features(img, cfg.extractor) for ptype, (img, _) in projections.items()},
+        masks={ptype: mask for ptype, (_, mask) in projections.items()},
     )
-    by_ptype = {img.ptype: (img, mask) for img, mask in pairs}
-    grids, masks, images = {}, {}, {}
-    for ptype in wanted:
-        img, mask = by_ptype[ptype]
-        grids[ptype] = extract_features(img, cfg.extractor)
-        masks[ptype] = mask
-        images[ptype] = img
-    return CaseFeatures(case_id=case.case_id, grids=grids, masks=masks, images=images)
 
 
 class FeatureCache:
-    """Thread-safe per-(case, config, projection) feature grid cache.
+    """Thread-safe memo of whole-case features, keyed on (case id, config).
 
-    The key folds in every config field that changes the projected image or
-    the extractor, so entries computed under one config are only reused where
-    they are bit-identical.
+    Two threads asking for the same missing entry may both compute it; the
+    results are identical and the first one stored is kept.
     """
 
     def __init__(self):
-        self._store: dict = {}
+        self._store: dict[tuple[str, RunConfig], CaseFeatures] = {}
         self._lock = threading.Lock()
 
-    @staticmethod
-    def _case_key(case_id: str, cfg: RunConfig) -> tuple:
-        return (
-            case_id,
-            cfg.method,
-            cfg.unsegmented,
-            cfg.canvas,
-            cfg.hu_lo,
-            cfg.hu_hi,
-            cfg.extractor.extractor_hash,
-        )
-
-    def features_for(
-        self,
-        case: LoadedCase,
-        cfg: RunConfig,
-        ptypes: Sequence[ProjectionType] | None = None,
-    ) -> CaseFeatures:
-        wanted = tuple(ptypes) if ptypes is not None else cfg.ptypes
-        key = self._case_key(case.case_id, cfg)
+    def features_for(self, case: LoadedCase, cfg: RunConfig) -> CaseFeatures:
+        key = (case.case_id, cfg)
         with self._lock:
-            cached = self._store.get(key, {})
-            missing = [pt for pt in wanted if pt not in cached]
-        if missing:
-            fresh = compute_case_features(case, cfg, ptypes=missing)
-            with self._lock:
-                cached = self._store.setdefault(key, {})
-                for pt in missing:
-                    cached[pt] = (fresh.grids[pt], fresh.masks[pt], fresh.images[pt])
+            cached = self._store.get(key)
+        if cached is not None:
+            return cached
+        fresh = compute_case_features(case, cfg)
         with self._lock:
-            entry = self._store[key]
-            return CaseFeatures(
-                case_id=case.case_id,
-                grids={pt: entry[pt][0] for pt in wanted},
-                masks={pt: entry[pt][1] for pt in wanted},
-                images={pt: entry[pt][2] for pt in wanted},
-            )
-
-
-def _featurizer(cfg: RunConfig, cache: FeatureCache | None) -> Callable[[LoadedCase], CaseFeatures]:
-    if cache is None:
-        return lambda case: compute_case_features(case, cfg)
-    return lambda case: cache.features_for(case, cfg)
+            return self._store.setdefault(key, fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +257,18 @@ def run_fold(
     cases: Mapping[str, LoadedCase],
     split: FoldSplit,
     cfg: RunConfig,
+    cache: FeatureCache,
     jobs: int = 1,
-    cache: FeatureCache | None = None,
 ) -> FoldResult:
-    """Train banks, calibrate, and score one fold's balanced test set."""
-    featurize = _featurizer(cfg, cache)
+    """Train banks, calibrate, and score one fold's balanced test set.
+
+    Features go through ``cache``, so cases shared with other folds of the
+    same config are projected and extracted once.
+    """
+
+    def featurize(case: LoadedCase) -> CaseFeatures:
+        return cache.features_for(case, cfg)
+
     train_feats = parallel_map(featurize, [cases[cid] for cid in split.train], jobs)
     banks = build_banks(train_feats, cfg)
     cal_feats = parallel_map(featurize, [cases[cid] for cid in split.calibration], jobs)
@@ -319,14 +291,17 @@ def monte_carlo_run(
     cfg: RunConfig,
     folds: int = 5,
     jobs: int = 1,
-    cache: FeatureCache | None = None,
 ) -> dict:
-    """Seeded multi-fold evaluation over a loaded corpus; mean +/- std metrics."""
+    """Seeded multi-fold evaluation over a loaded corpus; mean +/- std metrics.
+
+    Each case is featurized at most once: one feature memo serves every fold.
+    """
     normal_ids = sorted(cid for cid, c in cases.items() if c.label == "normal")
     abnormal_ids = sorted(cid for cid, c in cases.items() if c.label == "abnormal")
     splits = monte_carlo_splits(normal_ids, abnormal_ids, folds=folds, seed=cfg.seed)
+    cache = FeatureCache()
     per_fold = []
     for split in splits:
-        result = run_fold(cases, split, cfg, jobs=jobs, cache=cache)
+        result = run_fold(cases, split, cfg, cache, jobs=jobs)
         per_fold.append(fold_metrics(result.pairs))
     return summarize_folds(per_fold)

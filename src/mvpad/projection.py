@@ -20,7 +20,15 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyMaskError, InvalidArgumentError
-from .volume import DEFAULT_HU_HI, DEFAULT_HU_LO, Volume, freeze_array, normalize_truncated, truncate_hu
+from .volume import (
+    DEFAULT_HU_HI,
+    DEFAULT_HU_LO,
+    Volume,
+    freeze_array,
+    is_int,
+    normalize_truncated,
+    truncate_hu,
+)
 
 DEFAULT_CANVAS = (256, 256)
 BBOX_MARGIN = 2
@@ -105,13 +113,13 @@ class ProjectionGeometry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProjectionGeometry":
-        return cls(
-            ptype=ProjectionType.from_string(d["ptype"]),
-            plane_shape=tuple(int(v) for v in d["plane_shape"]),
-            bbox=tuple(int(v) for v in d["bbox"]),
-            scale=float(d["scale"]),
-            canvas=tuple(int(v) for v in d["canvas"]),
-        )
+        sizes = {}
+        for key, length in (("plane_shape", 2), ("bbox", 4), ("canvas", 2)):
+            value = d[key]
+            if not isinstance(value, list) or len(value) != length or not all(is_int(v) for v in value):
+                raise InvalidArgumentError(f"geometry {key} must be a list of {length} ints, got {value!r}")
+            sizes[key] = tuple(int(v) for v in value)
+        return cls(ptype=ProjectionType.from_string(d["ptype"]), scale=float(d["scale"]), **sizes)
 
 
 @dataclass(frozen=True)

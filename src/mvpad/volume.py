@@ -1,4 +1,4 @@
-"""Volume representation, container file I/O, HU truncation/normalization, resampling.
+"""Volume representation, container file I/O, HU truncation/normalization, manifests.
 
 A Volume is a 3D scalar grid in z->y->x row-major order (z = axial slice
 index) with voxel spacing metadata. Three dtypes are supported:
@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,6 +49,11 @@ DTYPE_CODES = {
 _KIND_TO_CODE = {np.dtype(np.int16): "i16", np.dtype(np.float32): "f32", np.dtype(np.uint8): "u8"}
 
 VALID_LABELS = (0, 1, 2)
+
+
+def is_int(value) -> bool:
+    """An integer, numpy integers included; bool is not one here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def freeze_array(arr, dtype) -> np.ndarray:
@@ -214,30 +220,6 @@ def normalize_truncated(vol: Volume, lo: int = DEFAULT_HU_LO, hi: int = DEFAULT_
     unit = (vol.voxels.astype(np.float64) - lo) / float(hi - lo)
     np.clip(unit, 0.0, 1.0, out=unit)
     return Volume(unit.astype(np.float32), vol.spacing_mm)
-
-
-def resample_nearest(vol: Volume, target_spacing_mm: tuple[float, float, float]) -> Volume:
-    """Nearest-neighbor resample onto a grid with the target spacing.
-
-    New dims = round(old_dims * old_spacing / target_spacing), at least 1
-    per axis. Identity when target equals the source spacing.
-    """
-    target = tuple(float(s) for s in target_spacing_mm)
-    if len(target) != 3 or any(s <= 0 for s in target):
-        raise InvalidArgumentError(f"target spacing must be 3 positive reals, got {target_spacing_mm}")
-    old_dims = vol.dims
-    new_dims = tuple(
-        max(1, int(round(old_dims[a] * vol.spacing_mm[a] / target[a]))) for a in range(3)
-    )
-    if new_dims == old_dims and target == vol.spacing_mm:
-        return vol
-    # source index for output index i: floor((i + 0.5) * old/new), clamped
-    idx = []
-    for a in range(3):
-        src = np.floor((np.arange(new_dims[a]) + 0.5) * (old_dims[a] / new_dims[a])).astype(np.intp)
-        idx.append(np.clip(src, 0, old_dims[a] - 1))
-    vox = vol.voxels[np.ix_(idx[0], idx[1], idx[2])]
-    return Volume(vox, target)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from mvpad import RunConfig, load_volume, read_manifest
+import mvpad.pipeline
+from mvpad import RunConfig, load_manifest_cases, load_volume, project_case, read_manifest
 from mvpad.cli import main
 
 DIMS = (64, 96, 96)
@@ -189,6 +190,37 @@ class TestProjectCommand:
         assert mask.voxels.dtype == np.uint8
         geo = sidecar["projections"]["right_coronal"]
         assert set(geo) >= {"ptype", "plane_shape", "bbox", "scale", "canvas"}
+
+    @pytest.mark.parametrize("projection_set", ["all-three", "coronal+axial"])
+    def test_writes_project_case_output_without_features(
+        self, workspace, tmp_path, monkeypatch, projection_set
+    ):
+        def no_extraction(*args, **kwargs):
+            raise AssertionError("mvpad project extracted features")
+
+        monkeypatch.setattr(mvpad.pipeline, "extract_features", no_extraction)
+        cfg = RunConfig(canvas=CANVAS, projection_set=projection_set)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        out = tmp_path / "proj"
+        assert run("project", "--manifest", workspace["abnormal"],
+                   "--config", cfg_path, "--out", out) == 0
+
+        cases, records = load_manifest_cases(workspace["abnormal"])
+        expected = []
+        for record in records:
+            case = cases[record.case_id]
+            sidecar = json.loads((out / f"{case.case_id}_projection.json").read_text())
+            pairs = [(img, mask) for img, mask in project_case(case.ct, case.lungs, canvas=CANVAS)
+                     if img.ptype in cfg.ptypes]
+            assert list(sidecar["projections"]) == [img.ptype.value for img, _ in pairs]
+            for img, mask in pairs:
+                stem = f"{case.case_id}_{img.ptype.value}"
+                expected += [f"{stem}_img.mvol", f"{stem}_mask.mvol"]
+                np.testing.assert_array_equal(load_volume(out / f"{stem}_img.mvol").voxels[0], img.pixels)
+                np.testing.assert_array_equal(load_volume(out / f"{stem}_mask.mvol").voxels[0], mask.pixels)
+                assert sidecar["projections"][img.ptype.value] == img.geometry.to_dict()
+        assert sorted(p.name for p in out.glob("*.mvol")) == sorted(expected)
 
     def test_corrupt_volume_header_exit_code(self, tmp_path):
         data = tmp_path / "mini"

@@ -11,7 +11,6 @@ from mvpad import (
     ProjectionType,
     extract_features,
     grid_dims,
-    grid_to_pixel,
 )
 
 DEFAULT_HASH = "318941e69a7e88e7"
@@ -57,26 +56,6 @@ class TestGridGeometry:
     def test_canvas_smaller_than_patch_rejected(self):
         with pytest.raises(InvalidArgumentError):
             grid_dims((8, 64), ExtractorConfig())
-
-    def test_first_cell_footprint(self):
-        assert grid_to_pixel((0, 0), ExtractorConfig(), (256, 256)) == (0, 0, 9, 9)
-
-    def test_adjacent_cells_overlap_by_patch_minus_stride(self):
-        cfg = ExtractorConfig()
-        r0, c0, r1, c1 = grid_to_pixel((0, 0), cfg, (256, 256))
-        _, c0b, _, c1b = grid_to_pixel((0, 1), cfg, (256, 256))
-        overlap = min(c1, c1b) - max(c0, c0b)
-        assert overlap == cfg.patch_size - cfg.stride == 5
-
-    def test_last_cell_stays_inside_canvas(self):
-        cfg = ExtractorConfig()
-        gh, gw = grid_dims((256, 256), cfg)
-        r0, c0, r1, c1 = grid_to_pixel((gh - 1, gw - 1), cfg, (256, 256))
-        assert r1 <= 256 and c1 <= 256
-
-    def test_out_of_range_location_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            grid_to_pixel((62, 0), ExtractorConfig(), (256, 256))
 
 
 class TestExtraction:
@@ -194,8 +173,3 @@ class TestExtraction:
         assert grid.extractor_hash == DEFAULT_HASH
         assert grid.feature_dim == 20
         assert grid.canvas == (16, 16)
-
-    def test_location_map_patch_centers(self):
-        grid = extract_features(make_image(np.zeros((17, 17))), ExtractorConfig())
-        assert grid.location_map((0, 0)) == (4.0, 4.0)
-        assert grid.location_map((1, 2)) == (8.0, 12.0)

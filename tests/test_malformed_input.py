@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mvpad import (
     ExtractorConfig,
     HeaderFormatError,
+    InsufficientDataError,
     InvalidArgumentError,
     MANIFEST_HEADER,
     MvpadError,
@@ -249,6 +250,21 @@ class TestConfigScoresManifest:
             read_manifest(manifest)
         rc = run_cli(capsys, "project", "--manifest", manifest, "--out", tmp_path / "p")
         assert rc == HeaderFormatError.exit_code
+
+    @pytest.mark.parametrize("dims", ["64,x,96", "1e3,96,96", "64.5,96,96", "64,,96"])
+    def test_cli_phantom_rejects_non_integer_dims(self, tmp_path, capsys, dims):
+        rc = run_cli(capsys, "phantom", "--normal", 1, "--abnormal", 0, "--dims", dims,
+                     "--out", tmp_path / "d")
+        assert rc == InvalidArgumentError.exit_code == 3
+        assert not (tmp_path / "d").exists()
+
+    def test_cli_segment_eval_rejects_empty_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(",".join(MANIFEST_HEADER) + "\n", encoding="utf-8")
+        out = tmp_path / "seg.json"
+        rc = run_cli(capsys, "segment-eval", "--manifest", manifest, "--out", out)
+        assert rc == InsufficientDataError.exit_code == 11
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

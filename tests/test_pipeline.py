@@ -5,6 +5,7 @@ reduced canvas so the whole module runs in seconds; statistical quality at
 full scale lives in the acceptance suite.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -188,7 +189,6 @@ class TestComputeCaseFeatures:
         feats = compute_case_features(cases[normal_ids[0]], cfg)
         assert tuple(feats.grids) == cfg.ptypes
         assert tuple(feats.masks) == cfg.ptypes
-        assert tuple(feats.images) == cfg.ptypes
         for ptype in cfg.ptypes:
             assert feats.grids[ptype].ptype is ptype
             assert feats.masks[ptype].ptype is ptype
@@ -203,12 +203,6 @@ class TestComputeCaseFeatures:
             not np.array_equal(base.grids[p].features, wide.grids[p].features) for p in cfg.ptypes
         )
 
-    def test_ptypes_filter(self, corpus, cfg, normal_ids):
-        cases, _ = corpus
-        wanted = (ProjectionType.RIGHT_CORONAL,)
-        feats = compute_case_features(cases[normal_ids[0]], cfg, ptypes=wanted)
-        assert tuple(feats.grids) == wanted
-
 
 class TestFeatureCache:
     def test_reuses_grid_objects(self, corpus, cfg, normal_ids):
@@ -220,15 +214,6 @@ class TestFeatureCache:
             assert second.grids[ptype] is first.grids[ptype]
             assert second.masks[ptype] is first.masks[ptype]
 
-    def test_partial_then_full_request(self, corpus, cfg, normal_ids):
-        cases, _ = corpus
-        cache = FeatureCache()
-        part = cache.features_for(
-            cases[normal_ids[0]], cfg, ptypes=(ProjectionType.LEFT_AXIAL,)
-        )
-        full = cache.features_for(cases[normal_ids[0]], cfg)
-        assert full.grids[ProjectionType.LEFT_AXIAL] is part.grids[ProjectionType.LEFT_AXIAL]
-
     def test_config_changes_miss(self, corpus, cfg, normal_ids):
         # a different projection method must not hit the mip entries
         cases, _ = corpus
@@ -238,6 +223,20 @@ class TestFeatureCache:
         ptype = ProjectionType.RIGHT_CORONAL
         assert aip.grids[ptype] is not mip.grids[ptype]
         assert not np.array_equal(aip.grids[ptype].features, mip.grids[ptype].features)
+
+    def test_concurrent_requests_share_one_entry(self, corpus, cfg, normal_ids):
+        # more threads than cores, all racing for the same two missing entries
+        cases, _ = corpus
+        cache = FeatureCache()
+        wanted = [cases[cid] for cid in normal_ids[:2]] * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = parallel_map(lambda case: cache.features_for(case, cfg), wanted, jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+        for case, feats in zip(wanted, got):
+            assert feats is cache.features_for(case, cfg)
 
     def test_matches_uncached(self, corpus, cfg, normal_ids):
         cases, _ = corpus
@@ -379,7 +378,7 @@ def split(normal_ids, abnormal_ids):
 class TestRunFold:
     def test_fold_result_shape(self, corpus, cfg, split):
         cases, _ = corpus
-        result = run_fold(cases, split, cfg)
+        result = run_fold(cases, split, cfg, FeatureCache())
         assert isinstance(result.calibration, Calibration)
         assert len(result.case_scores) == 2
         ids = [cid for cid, _, _ in result.case_scores]
@@ -391,29 +390,28 @@ class TestRunFold:
 
     def test_jobs_do_not_change_scores(self, corpus, cfg, split):
         cases, _ = corpus
-        serial = run_fold(cases, split, cfg, jobs=1)
-        threaded = run_fold(cases, split, cfg, jobs=3)
+        serial = run_fold(cases, split, cfg, FeatureCache(), jobs=1)
+        threaded = run_fold(cases, split, cfg, FeatureCache(), jobs=3)
         assert serial.case_scores == threaded.case_scores
         assert serial.calibration.bounds == threaded.calibration.bounds
 
     def test_shared_cache_changes_nothing(self, corpus, cfg, split):
         cases, _ = corpus
         cache = FeatureCache()
-        first = run_fold(cases, split, cfg, cache=cache)
-        second = run_fold(cases, split, cfg, cache=cache)
-        bare = run_fold(cases, split, cfg)
-        assert first.case_scores == second.case_scores == bare.case_scores
+        first = run_fold(cases, split, cfg, cache)
+        second = run_fold(cases, split, cfg, cache)
+        fresh = run_fold(cases, split, cfg, FeatureCache())
+        assert first.case_scores == second.case_scores == fresh.case_scores
 
 
 class TestMonteCarloRun:
     def test_summary_shape_and_determinism(self, corpus, cfg):
         cases, _ = corpus
-        cache = FeatureCache()
-        summary = monte_carlo_run(cases, cfg, folds=2, cache=cache)
+        summary = monte_carlo_run(cases, cfg, folds=2)
         assert len(summary["folds"]) == 2
         assert 0.0 <= summary["auc"] <= 1.0
         assert set(summary["std"]) == set(summary) - {"std", "folds"}
-        again = monte_carlo_run(cases, cfg, folds=2, cache=cache)
+        again = monte_carlo_run(cases, cfg, folds=2)
         assert summary == again
 
     def test_uses_seeded_splits(self, corpus, cfg, normal_ids, abnormal_ids):
@@ -422,11 +420,25 @@ class TestMonteCarloRun:
         splits = monte_carlo_splits(
             sorted(normal_ids), sorted(abnormal_ids), folds=1, seed=cfg.seed
         )
-        result = run_fold(cases, splits[0], cfg)
+        result = run_fold(cases, splits[0], cfg, FeatureCache())
         summary = monte_carlo_run(cases, cfg, folds=1)
         assert summary["folds"][0]["auc"] == pytest.approx(
             fold_auc_of(result.pairs), abs=0.0
         )
+
+    def test_featurizes_each_case_at_most_once(self, corpus, cfg, monkeypatch):
+        cases, _ = corpus
+        calls = []
+        original = mvpad.pipeline.compute_case_features
+
+        def counting(case, run_cfg):
+            calls.append(case.case_id)
+            return original(case, run_cfg)
+
+        monkeypatch.setattr(mvpad.pipeline, "compute_case_features", counting)
+        monte_carlo_run(cases, cfg, folds=3)
+        assert calls
+        assert len(calls) == len(set(calls))
 
     def test_insufficient_corpus(self, corpus, cfg, normal_ids):
         cases, _ = corpus
@@ -480,3 +492,20 @@ def fold_auc_of(pairs):
     from mvpad import roc_auc
 
     return roc_auc(pairs).auc
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
+def test_demo_imports_resolve(demo):
+    # parse only: a name dropped from mvpad's exports must fail here, not in a demo run
+    tree = ast.parse(demo.read_text(encoding="utf-8"))
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "mvpad"
+        for alias in node.names
+    ]
+    assert names
+    assert [name for name in names if not hasattr(mvpad, name)] == []

@@ -219,6 +219,19 @@ class TestCropResize:
         )
         assert ProjectionGeometry.from_dict(geo.to_dict()) == geo
 
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("plane_shape", [64.9, 96]), ("bbox", [3, 5, "40", 70]), ("canvas", [256, True])],
+    )
+    def test_geometry_from_dict_rejects_non_integers(self, key, bad):
+        d = ProjectionGeometry(
+            ptype=ProjectionType.LEFT_CORONAL, plane_shape=(64, 96), bbox=(3, 5, 40, 70),
+            scale=1.0, canvas=(256, 256),
+        ).to_dict()
+        d[key] = bad
+        with pytest.raises(InvalidArgumentError):
+            ProjectionGeometry.from_dict(d)
+
 
 @pytest.fixture(scope="module")
 def phantom():

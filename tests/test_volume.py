@@ -1,4 +1,4 @@
-"""Volume container, MVOL round trips, HU windowing, resampling, manifests."""
+"""Volume container, MVOL round trips, HU windowing, manifests."""
 
 import json
 
@@ -15,7 +15,6 @@ from mvpad import (
     load_volume,
     normalize_truncated,
     read_manifest,
-    resample_nearest,
     resolve_manifest_path,
     save_volume,
     truncate_hu,
@@ -109,32 +108,6 @@ class TestTruncateNormalize:
         vol = Volume(np.zeros((1, 1, 1), dtype=np.float32))
         with pytest.raises(InvalidArgumentError):
             normalize_truncated(vol)
-
-
-class TestResample:
-    def test_halving_z_spacing_duplicates_slices(self):
-        # (2,1,1) mm -> (1,1,1) mm doubles Z; nearest-neighbor repeats each slice
-        rng = np.random.default_rng(13)
-        vox = rng.integers(-800, 0, size=(4, 3, 3)).astype(np.int16)
-        out = resample_nearest(Volume(vox, (2.0, 1.0, 1.0)), (1.0, 1.0, 1.0))
-        assert out.dims == (8, 3, 3)
-        assert out.spacing_mm == (1.0, 1.0, 1.0)
-        np.testing.assert_array_equal(out.voxels, np.repeat(vox, 2, axis=0))
-
-    def test_identity_when_spacing_matches(self):
-        vol = hu_volume(np.arange(27).reshape(3, 3, 3))
-        out = resample_nearest(vol, (1.0, 1.0, 1.0))
-        assert volumes_equal(out, vol)
-
-    def test_constant_volume_stays_constant(self):
-        vol = Volume(np.full((3, 4, 5), -321, dtype=np.int16), (1.5, 0.7, 2.0))
-        out = resample_nearest(vol, (1.0, 1.0, 1.0))
-        assert np.all(out.voxels == -321)
-
-    def test_rejects_nonpositive_target(self):
-        vol = hu_volume(np.zeros((2, 2, 2)))
-        with pytest.raises(InvalidArgumentError):
-            resample_nearest(vol, (1.0, -1.0, 1.0))
 
 
 class TestMvolIO:
