@@ -1,7 +1,10 @@
 """Stage 2: per-projection memory banks and nearest-neighbor anomaly scoring.
 
 A bank aggregates the patch features of the normal training images for one
-projection type, then keeps a greedy k-center (farthest-point) coreset.
+projection type, then keeps a greedy k-center (farthest-point) coreset. The
+coreset loop runs over the unique rows only, each at its first occurrence,
+unless the coreset is larger than their count; exact duplicates then cost
+the loop nothing.
 Test images are scored by the exact Euclidean distance of each grid feature
 to its nearest bank entry; the distance grid is bilinearly painted onto the
 canvas, optionally Gaussian-smoothed, and its maximum is the projection's
@@ -117,6 +120,18 @@ def aggregate_bank(train_grids: list[FeatureGrid]) -> np.ndarray:
     return np.vstack([grid.flat() for grid in train_grids])
 
 
+def _first_unique_rows(a: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row.
+
+    `a` must be a C-contiguous 2D array. Each row is viewed as one opaque
+    item of its bytes, so rows are equal when their bytes are: -0.0 and 0.0
+    count as different values.
+    """
+    rows = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+    _, first = np.unique(rows, return_index=True)
+    return np.sort(first)
+
+
 def greedy_coreset(points: np.ndarray, C: int) -> np.ndarray:
     """Deterministic farthest-point (greedy k-center) selection.
 
@@ -124,30 +139,49 @@ def greedy_coreset(points: np.ndarray, C: int) -> np.ndarray:
     following center is the point farthest from its nearest chosen center.
     Ties go to the lowest unchosen index. Returns indices in selection order.
 
+    The loop runs over the unique rows only, each kept at its first
+    occurrence in ascending order, unless C exceeds their count; then it
+    runs over every row. A duplicate shares its coordinates with its first
+    occurrence, so it could be picked only once the covering radius is down
+    to float32 rounding level. The mean is taken over the full multiset.
+    (The BLAS product may round one row differently at different positions
+    in the matrix, so duplicates in the loop need not get bitwise-equal
+    state values.)
+
     The per-center distance update runs as a float32 BLAS norm expansion:
     selection quality is insensitive to the low bits, and the state arrays
     are walked C times. Chosen points are pinned to -1 in the min-distance
     state, below any squared distance, so argmax never re-picks them and its
-    first-occurrence rule keeps ties on the lowest index (exact duplicates
-    produce bitwise-equal state values).
+    first-occurrence rule keeps ties on the lowest index.
     """
-    pts = np.ascontiguousarray(points, dtype=np.float32)
+    with np.errstate(over="ignore"):
+        pts = np.ascontiguousarray(points, dtype=np.float32)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise InvalidArgumentError(f"points must be (N>=1, D), got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise InvalidArgumentError("points must be finite in float32")
     n = pts.shape[0]
     if not 1 <= C <= n:
         raise InvalidArgumentError(f"coreset size must satisfy 1 <= C <= {n}, got {C}")
-    pts64 = pts.astype(np.float64)
-    diff = pts64 - pts64.mean(axis=0)
-    first = int(np.argmax(np.einsum("ij,ij->i", diff, diff)))
+    diff = pts.astype(np.float64)
+    diff -= diff.mean(axis=0)
+    spread = np.einsum("ij,ij->i", diff, diff)
+    del diff
+    keep = _first_unique_rows(pts)
+    if C > keep.size:
+        keep = np.arange(n)
+    else:
+        pts = pts[keep]
+        spread = spread[keep]
+    first = int(np.argmax(spread))
     selected = np.empty(C, dtype=np.int64)
     selected[0] = first
     if C == 1:
-        return selected
+        return keep[selected]
     norms = np.einsum("ij,ij->i", pts, pts)
-    min_sqdist = np.full(n, np.inf, dtype=np.float32)
+    min_sqdist = np.full(keep.size, np.inf, dtype=np.float32)
     min_sqdist[first] = -1.0
-    d2 = np.empty(n, dtype=np.float32)
+    d2 = np.empty(keep.size, dtype=np.float32)
     for k in range(1, C):
         prev = int(selected[k - 1])
         np.multiply(pts @ pts[prev], np.float32(-2.0), out=d2)
@@ -157,7 +191,7 @@ def greedy_coreset(points: np.ndarray, C: int) -> np.ndarray:
         best = int(np.argmax(min_sqdist))
         selected[k] = best
         min_sqdist[best] = -1.0
-    return selected
+    return keep[selected]
 
 
 def coreset_size(n: int, frac: float) -> int:
@@ -215,8 +249,9 @@ _TIE_ATOL = 1e-150
 def bulk_nn_distance(queries: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest-entry squared distances and indices for many queries.
 
-    Exact duplicate entries are dropped first, keeping each first
-    occurrence, and a k-d tree is built on the rest. The tree finds each
+    Entries with identical bytes are dropped first, keeping each first
+    occurrence, and a k-d tree is built on the rest; entries that differ only
+    in the sign of a zero stay apart and tie exactly. The tree finds each
     query's two nearest entries; the nearest is re-measured with the plain
     elementwise sum of a full scan, so the returned float64 values equal
     scanning every entry bit for bit. A query whose second tree distance is
@@ -232,8 +267,7 @@ def bulk_nn_distance(queries: np.ndarray, entries: np.ndarray) -> tuple[np.ndarr
         raise InvalidArgumentError("cannot query an empty bank")
     if not (np.isfinite(q).all() and np.isfinite(e).all()):
         raise InvalidArgumentError("queries and entries must be finite")
-    _, first = np.unique(e, axis=0, return_index=True)
-    keep = np.sort(first)
+    keep = _first_unique_rows(e)
     eu = e[keep]
     tree = cKDTree(eu)
     # a missing neighbor comes back at distance inf: the second one of a

@@ -14,7 +14,9 @@ mapping used during 3D reconstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -89,6 +91,15 @@ class ProjectionGeometry:
     scale: float
     canvas: tuple[int, int]
 
+    def __post_init__(self):
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise InvalidArgumentError(f"geometry scale must be finite and > 0, got {self.scale!r}")
+        (h, w), (r0, c0, r1, c1) = self.plane_shape, self.bbox
+        if not (0 <= r0 < r1 <= h and 0 <= c0 < c1 <= w):
+            raise InvalidArgumentError(
+                f"geometry bbox {self.bbox} must be non-empty and inside plane {self.plane_shape}"
+            )
+
     @property
     def crop_shape(self) -> tuple[int, int]:
         r0, c0, r1, c1 = self.bbox
@@ -113,13 +124,21 @@ class ProjectionGeometry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProjectionGeometry":
+        if not isinstance(d, dict):
+            raise InvalidArgumentError(f"geometry must be a dict, got {type(d).__name__}")
+        missing = sorted({f.name for f in fields(cls)} - d.keys())
+        if missing:
+            raise InvalidArgumentError(f"geometry is missing {missing}")
+        scale = d["scale"]
+        if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
+            raise InvalidArgumentError(f"geometry scale must be a number, got {scale!r}")
         sizes = {}
         for key, length in (("plane_shape", 2), ("bbox", 4), ("canvas", 2)):
             value = d[key]
             if not isinstance(value, list) or len(value) != length or not all(is_int(v) for v in value):
                 raise InvalidArgumentError(f"geometry {key} must be a list of {length} ints, got {value!r}")
             sizes[key] = tuple(int(v) for v in value)
-        return cls(ptype=ProjectionType.from_string(d["ptype"]), scale=float(d["scale"]), **sizes)
+        return cls(ptype=ProjectionType.from_string(d["ptype"]), scale=float(scale), **sizes)
 
 
 @dataclass(frozen=True)

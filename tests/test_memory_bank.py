@@ -9,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvpad import (
+    ALL_PROJECTIONS,
     AnomalyMap2D,
     DimensionMismatchError,
+    ExtractorConfig,
     ExtractorMismatchError,
     FeatureGrid,
     HeaderFormatError,
     InvalidArgumentError,
     MemoryBank,
     PayloadSizeError,
+    PhantomConfig,
     ProjectionType,
     aggregate_bank,
     anomaly_map,
@@ -24,11 +27,16 @@ from mvpad import (
     build_bank,
     bulk_nn_distance,
     coreset_size,
+    extract_features,
+    generate_case,
     greedy_coreset,
     load_bank,
     nn_distance,
+    project_case,
     save_bank,
+    split_left_right,
 )
+from mvpad.memory_bank import _first_unique_rows
 
 PT = ProjectionType.RIGHT_AXIAL
 
@@ -142,6 +150,106 @@ class TestGreedyCoreset:
         assert coreset_size(5, 0.001) == 1
         assert coreset_size(10, 1.0) == 10
         assert coreset_size(3, 0.9) == 3
+
+    @pytest.mark.parametrize(
+        "pts",
+        [[[1e300], [0.0], [1.0], [5.0]], [[np.inf], [0.0], [1.0], [5.0]], [[0.0, np.nan], [1.0, 2.0]]],
+    )
+    def test_non_finite_points_rejected(self, pts):
+        # 1e300 overflows to inf in the float32 cast
+        with pytest.raises(InvalidArgumentError):
+            greedy_coreset(np.asarray(pts), 2)
+
+
+def _reference_coreset(points, C):
+    """The greedy loop over every row, duplicates included: the selection
+    the unique-row loop must reproduce."""
+    pts = np.ascontiguousarray(points, dtype=np.float32)
+    n = pts.shape[0]
+    pts64 = pts.astype(np.float64)
+    diff = pts64 - pts64.mean(axis=0)
+    first = int(np.argmax(np.einsum("ij,ij->i", diff, diff)))
+    selected = np.empty(C, dtype=np.int64)
+    selected[0] = first
+    if C == 1:
+        return selected
+    norms = np.einsum("ij,ij->i", pts, pts)
+    min_sqdist = np.full(n, np.inf, dtype=np.float32)
+    min_sqdist[first] = -1.0
+    d2 = np.empty(n, dtype=np.float32)
+    for k in range(1, C):
+        prev = int(selected[k - 1])
+        np.multiply(pts @ pts[prev], np.float32(-2.0), out=d2)
+        d2 += norms
+        d2 += norms[prev]
+        np.minimum(min_sqdist, d2, out=min_sqdist)
+        best = int(np.argmax(min_sqdist))
+        selected[k] = best
+        min_sqdist[best] = -1.0
+    return selected
+
+
+@st.composite
+def lattice_coreset_case(draw):
+    """Small-integer lattice points with shuffled duplicates, scaled by 1 or
+    2**-20 (float32 arithmetic on them is exact), and a coreset size on
+    either side of the unique count."""
+    d = draw(st.integers(1, 4))
+    point = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    unique = draw(st.lists(point, min_size=1, max_size=10, unique_by=tuple))
+    repeats = draw(st.lists(st.sampled_from(unique), max_size=20))
+    rows = draw(st.permutations(unique + repeats))
+    scale = draw(st.sampled_from([1.0, 2.0**-20]))
+    C = draw(st.integers(1, len(rows)))
+    return scale * np.array(rows, dtype=np.float64), C, len(unique)
+
+
+@pytest.fixture(scope="module")
+def phantom_bank_rows():
+    """Aggregated right-axial features of six small phantoms: about a third
+    of the rows are exact duplicates of the zero background."""
+    at = ALL_PROJECTIONS.index(PT)
+    grids = []
+    for seed in range(6):
+        ct, mask, _ = generate_case(PhantomConfig(dims=(32, 48, 48), seed=seed, vessel_count=6))
+        image, _ = project_case(ct, split_left_right(mask), canvas=(96, 96))[at]
+        grids.append(extract_features(image, ExtractorConfig()))
+    return grids, aggregate_bank(grids)
+
+
+class TestUniqueRowCoreset:
+    """greedy_coreset runs over unique rows yet selects what the full loop does."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=lattice_coreset_case())
+    def test_matches_full_loop_on_lattices(self, case):
+        pts, C, n_unique = case
+        got = greedy_coreset(pts, C)
+        np.testing.assert_array_equal(got, _reference_coreset(pts, C))
+        if C <= n_unique:
+            assert np.unique(pts[got], axis=0).shape[0] == C
+
+    def test_matches_full_loop_on_phantom_bank(self, phantom_bank_rows):
+        grids, raw = phantom_bank_rows
+        assert _first_unique_rows(raw).size < 0.9 * raw.shape[0]
+        size = coreset_size(raw.shape[0], 0.1)
+        ref = _reference_coreset(raw, size)
+        np.testing.assert_array_equal(greedy_coreset(raw, size), ref)
+        bank = build_bank(grids, coreset_frac=0.1)
+        assert bank.entries.tobytes() == raw[ref].tobytes()
+
+    def test_first_unique_rows_matches_numpy_unique(self, phantom_bank_rows):
+        _, raw = phantom_bank_rows
+        rng = np.random.default_rng(66)
+        lattice = rng.integers(-2, 3, size=(500, 3)).astype(np.float64)
+        for a in (raw, raw[rng.permutation(raw.shape[0])], raw.astype(np.float64), lattice, lattice[:1]):
+            a = np.ascontiguousarray(a)
+            _, first = np.unique(a, axis=0, return_index=True)
+            np.testing.assert_array_equal(_first_unique_rows(a), np.sort(first))
+
+    def test_first_unique_rows_tells_signed_zeros_apart(self):
+        a = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]])
+        np.testing.assert_array_equal(_first_unique_rows(a), [0, 1])
 
 
 class TestBankBuild:
@@ -339,6 +447,23 @@ class TestBulkNNContract:
         queries = np.array([[1e200, 1.0], [-1e200, -1e200], [0.0, 0.0]])
         with np.errstate(over="ignore"):
             assert_matches_full_scan(queries, entries)
+
+    @NN_PROPS
+    @given(case=lattice_nn_case(), data=st.data())
+    def test_signed_zero_twins_with_shuffled_duplicates(self, case, data):
+        # entries that differ only in the sign of a zero are kept apart as
+        # exact ties; the lowest index must still win
+        queries, entries = case
+        flips = data.draw(st.lists(st.booleans(), min_size=entries.size, max_size=entries.size))
+        twins = np.where((entries == 0) & np.reshape(flips, entries.shape), -0.0, entries)
+        mixed = np.concatenate([entries, twins, entries])[data.draw(st.permutations(range(3 * len(entries))))]
+        assert_matches_full_scan(queries, mixed)
+
+    def test_signed_zero_twins_tie_to_lowest_index(self):
+        entries = np.array([[-0.0, 1.0], [0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]])
+        queries = np.array([[0.0, 1.0], [-0.0, 0.0], [0.0, 0.5], [0.25, 0.0]])
+        assert_matches_full_scan(queries, entries)
+        np.testing.assert_array_equal(bulk_nn_distance(queries, entries)[1], [0, 2, 0, 2])
 
     def test_no_queries(self):
         d2, idx = bulk_nn_distance(np.zeros((0, 2)), np.ones((3, 2)))

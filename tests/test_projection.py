@@ -232,6 +232,60 @@ class TestCropResize:
         with pytest.raises(InvalidArgumentError):
             ProjectionGeometry.from_dict(d)
 
+    @staticmethod
+    def small_geometry_dict():
+        return ProjectionGeometry(
+            ptype=ProjectionType.LEFT_CORONAL, plane_shape=(8, 10), bbox=(0, 0, 8, 10),
+            scale=1.0, canvas=(16, 16),
+        ).to_dict()
+
+    @pytest.mark.parametrize("key", ["ptype", "plane_shape", "bbox", "scale", "canvas"])
+    def test_geometry_from_dict_rejects_missing_key(self, key):
+        d = self.small_geometry_dict()
+        del d[key]
+        with pytest.raises(InvalidArgumentError):
+            ProjectionGeometry.from_dict(d)
+
+    @pytest.mark.parametrize("bad", ["x", "1.5", None, True, [1.0]])
+    def test_geometry_from_dict_rejects_non_numeric_scale(self, bad):
+        d = self.small_geometry_dict()
+        d["scale"] = bad
+        with pytest.raises(InvalidArgumentError):
+            ProjectionGeometry.from_dict(d)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_geometry_from_dict_rejects_non_positive_or_non_finite_scale(self, bad):
+        d = self.small_geometry_dict()
+        d["scale"] = bad
+        with pytest.raises(InvalidArgumentError):
+            ProjectionGeometry.from_dict(d)
+
+    @pytest.mark.parametrize("bad", [None, [], "geometry", 3])
+    def test_geometry_from_dict_rejects_non_dict(self, bad):
+        with pytest.raises(InvalidArgumentError):
+            ProjectionGeometry.from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "bbox",
+        [
+            [0, 0, 80, 10],  # r1 past the plane's 8 rows
+            [0, 0, 8, 11],  # c1 past the plane's 10 columns
+            [5, 0, 2, 10],  # r1 < r0
+            [0, 6, 8, 6],  # empty column range
+            [-1, 0, 8, 10],  # negative start
+        ],
+    )
+    def test_geometry_from_dict_rejects_bbox_outside_plane(self, bbox):
+        d = self.small_geometry_dict()
+        d["bbox"] = bbox
+        with pytest.raises(InvalidArgumentError):
+            ProjectionGeometry.from_dict(d)
+
+    def test_geometry_bbox_may_span_the_whole_plane(self):
+        d = self.small_geometry_dict()
+        d["bbox"] = [0, 0, 8, 10]
+        assert ProjectionGeometry.from_dict(d).crop_shape == (8, 10)
+
 
 @pytest.fixture(scope="module")
 def phantom():
