@@ -94,7 +94,6 @@ from .reconstruction import (
     mask_normalize_2d,
     percentile_minmax,
     percentile_nearest_rank,
-    replicate_along_axis,
     reverse_project,
 )
 from .segmentation import LungPair, dice, iou, split_left_right, threshold_segment_phantom

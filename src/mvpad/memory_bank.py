@@ -55,8 +55,8 @@ class MemoryBank:
 
     def __post_init__(self):
         entries = freeze_array(self.entries, np.float32)
-        if entries.ndim != 2 or entries.shape[0] < 1:
-            raise InvalidArgumentError(f"bank entries must be (C>=1, D), got shape {entries.shape}")
+        if entries.ndim != 2 or min(entries.shape) < 1:
+            raise InvalidArgumentError(f"bank entries must be (C>=1, D>=1), got shape {entries.shape}")
         if not np.isfinite(entries).all():
             raise InvalidArgumentError("bank entries must be finite")
         if not 0.0 < self.coreset_frac <= 1.0:
@@ -265,6 +265,8 @@ def bulk_nn_distance(queries: np.ndarray, entries: np.ndarray) -> tuple[np.ndarr
         raise DimensionMismatchError(f"query shape {q.shape} incompatible with entries {e.shape}")
     if e.shape[0] < 1:
         raise InvalidArgumentError("cannot query an empty bank")
+    if e.shape[1] < 1:
+        raise InvalidArgumentError("features must have at least one dimension")
     if not (np.isfinite(q).all() and np.isfinite(e).all()):
         raise InvalidArgumentError("queries and entries must be finite")
     keep = _first_unique_rows(e)

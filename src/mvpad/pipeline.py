@@ -215,6 +215,7 @@ def localize_case(
     per_lung = {}
     for side in ("right", "left"):
         side_region = case.lungs.mask(side).voxels > 0
+        side_region.flags.writeable = False  # the side's 4 volumes share it uncopied
         parts = {}
         for ptype in cfg.ptypes:
             if ptype.side != side:

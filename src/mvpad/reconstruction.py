@@ -8,6 +8,15 @@ per lung and across lungs, and finally binarized for localization.
 Normalization is a percentile-based min-max: values at or below the q-th
 nearest-rank percentile of the region collapse to zero, the region max maps
 to one. A constant region yields all zeros (no ranking information).
+
+The replicated volume is constant along the collapsed axis, so its 3D
+normalization runs on the plane: each pixel counts as many times as the
+region has voxels behind it (``region.sum(axis)``), the percentile is the
+weighted nearest rank over the pixels, the max is taken over the pixels with
+a positive count, and the clipped result is written into the region voxels
+only. Fusion likewise reads and writes only the region voxels. The float32
+bytes equal those of replicating the plane and normalizing and summing the
+whole voxel grid in float64, which no step here allocates.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from .errors import (
 )
 from .memory_bank import AnomalyMap2D
 from .projection import ProjectedMask, ProjectionGeometry, bilinear_sample
-from .volume import freeze_array
+from .volume import checked_spacing, freeze_array
 
 DEFAULT_PERCENTILE_Q = 50.0
 DEFAULT_BINARIZE_PCT = 99.5
@@ -61,16 +70,19 @@ class AnomalyVolume:
             )
         if self.stage not in _STAGES:
             raise InvalidArgumentError(f"unknown stage {self.stage!r}, expected one of {_STAGES}")
-        if not np.isfinite(values).all():
+        spacing = checked_spacing(self.spacing_mm)
+        lo, hi = float(values.min(initial=0.0)), float(values.max(initial=0.0))
+        if not (math.isfinite(lo) and math.isfinite(hi)):  # min and max propagate NaN
             raise InvalidArgumentError("anomaly volume values must be finite")
-        if float(values.min(initial=0.0)) < 0.0:
+        if lo < 0.0:
             raise InvalidArgumentError("anomaly volume values must be >= 0")
-        if self.stage in _UNIT_RANGE_STAGES and float(values.max(initial=0.0)) > 1.0:
+        if self.stage in _UNIT_RANGE_STAGES and hi > 1.0:
             raise InvalidArgumentError(f"stage {self.stage} values must be <= 1")
-        if np.any(values, where=~region):  # no copy of the outside values
+        if np.greater(values != 0, region).any():  # -0.0 counts as zero
             raise InvalidArgumentError("anomaly volume must be zero outside its region")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "region", region)
+        object.__setattr__(self, "spacing_mm", spacing)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -81,19 +93,44 @@ class AnomalyVolume:
         return tuple(int(v) for v in np.unravel_index(flat, self.values.shape))
 
 
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only, so AnomalyVolume keeps it without a copy."""
+    arr.flags.writeable = False
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # Percentile min-max normalization
+
+
+def _nearest_rank(n: int, q: float) -> int:
+    """The 1-based rank ceil(q*n/100), clamped to [1, n], of n values."""
+    if n == 0:
+        raise EmptyMaskError("percentile of an empty value set")
+    if not 0.0 <= q < 100.0:
+        raise InvalidArgumentError(f"percentile q must be in [0,100), got {q}")
+    return min(max(math.ceil(q * n / 100.0), 1), n)
 
 
 def percentile_nearest_rank(values: np.ndarray, q: float) -> float:
     """Nearest-rank percentile: the ceil(q*n/100)-th smallest value (1-based)."""
     flat = np.asarray(values, dtype=np.float64).ravel()
-    if flat.size == 0:
-        raise EmptyMaskError("percentile of an empty value set")
-    if not 0.0 <= q < 100.0:
-        raise InvalidArgumentError(f"percentile q must be in [0,100), got {q}")
-    rank = min(max(math.ceil(q * flat.size / 100.0), 1), flat.size)
-    return float(np.sort(flat)[rank - 1])
+    rank = _nearest_rank(flat.size, q)
+    return float(np.partition(flat, rank - 1)[rank - 1])
+
+
+def _weighted_nearest_rank(values: np.ndarray, counts: np.ndarray, q: float) -> float:
+    """percentile_nearest_rank of ``values`` with value i repeated counts[i] times."""
+    rank = _nearest_rank(int(counts.sum()), q)
+    order = np.argsort(values, kind="stable")
+    return float(values[order[np.searchsorted(np.cumsum(counts[order]), rank)]])
+
+
+def _minmax_scale(x: np.ndarray, p_q: float, m: float) -> np.ndarray:
+    """clip((x - p_q) / (m - p_q), 0, 1) in float64; all zeros when m <= p_q."""
+    if m > p_q:
+        return np.clip((x - p_q) / (m - p_q), 0.0, 1.0)
+    return np.zeros(x.shape, dtype=np.float64)
 
 
 def percentile_minmax(values: np.ndarray, region: np.ndarray, q: float) -> np.ndarray:
@@ -109,11 +146,8 @@ def percentile_minmax(values: np.ndarray, region: np.ndarray, q: float) -> np.nd
     if not reg.any():
         raise EmptyMaskError("percentile_minmax over an empty region")
     inside = vals[reg]
-    p_q = percentile_nearest_rank(inside, q)
-    m = float(inside.max())
     out = np.zeros(vals.shape, dtype=np.float64)
-    if m > p_q:
-        out[reg] = np.clip((vals[reg] - p_q) / (m - p_q), 0.0, 1.0)
+    out[reg] = _minmax_scale(inside, percentile_nearest_rank(inside, q), float(inside.max()))
     return out
 
 
@@ -157,15 +191,6 @@ def back_project_plane(grid: np.ndarray, geometry: ProjectionGeometry) -> np.nda
     return plane
 
 
-def replicate_along_axis(plane: np.ndarray, axis: int, extent: int) -> np.ndarray:
-    """Tile a collapsed-plane grid along the projection axis."""
-    if axis not in (0, 1, 2):
-        raise InvalidArgumentError(f"axis must be 0, 1 or 2, got {axis}")
-    if extent < 1:
-        raise InvalidArgumentError(f"axis extent must be >= 1, got {extent}")
-    return np.repeat(np.expand_dims(plane, axis), extent, axis=axis)
-
-
 def reverse_project(
     grid: np.ndarray,
     geometry: ProjectionGeometry,
@@ -177,7 +202,9 @@ def reverse_project(
 
     The canvas grid is mapped back onto the collapsed-plane pixel grid,
     replicated along the collapsed axis, and re-normalized in 3D over the
-    side's lung region.
+    side's lung region. The normalization runs on the plane, each pixel
+    weighted by its count of region voxels along the axis, and only the
+    region voxels are written.
     """
     region = np.asarray(lung_region, dtype=bool)
     if region.ndim != 3:
@@ -190,10 +217,15 @@ def reverse_project(
             f"volume dims {region.shape}"
         )
     plane = back_project_plane(grid, geometry)
-    volume = replicate_along_axis(plane, ptype.axis, region.shape[ptype.axis])
-    normalized = percentile_minmax(volume, region, q)
+    counts = region.sum(axis=ptype.axis)
+    covered = counts > 0
+    seen = plane[covered]
+    p_q = _weighted_nearest_rank(seen, counts[covered], q)
+    norm = _minmax_scale(plane, p_q, float(seen.max())).astype(np.float32)
+    values = np.zeros(region.shape, dtype=np.float32)
+    values[region] = np.broadcast_to(np.expand_dims(norm, ptype.axis), region.shape)[region]
     return AnomalyVolume(
-        values=normalized.astype(np.float32),
+        values=_readonly(values),
         stage=STAGE_PER_PROJECTION,
         region=region,
         spacing_mm=spacing_mm,
@@ -202,6 +234,12 @@ def reverse_project(
 
 # ---------------------------------------------------------------------------
 # Fusion
+
+
+def _same_spacing(parts) -> None:
+    spacings = {part.spacing_mm for part in parts}
+    if len(spacings) > 1:
+        raise DimensionMismatchError(f"fusion parts have different spacing_mm: {sorted(spacings)}")
 
 
 def fuse_per_lung(
@@ -224,10 +262,11 @@ def fuse_per_lung(
             )
         if part.stage != STAGE_PER_PROJECTION:
             raise InvalidArgumentError(f"fuse_per_lung expects per-projection inputs, got {part.stage}")
-    total = sum(part.values.astype(np.float64) for part in parts)
-    total[~mask] = 0.0
+    _same_spacing(parts)
+    values = np.zeros(mask.shape, dtype=np.float32)
+    values[mask] = sum(part.values[mask].astype(np.float64) for part in parts)
     return AnomalyVolume(
-        values=total.astype(np.float32),
+        values=_readonly(values),
         stage=STAGE_PER_LUNG,
         region=mask,
         spacing_mm=u_sagittal.spacing_mm,
@@ -241,15 +280,19 @@ def fuse_final(u_right: AnomalyVolume, u_left: AnomalyVolume, q: float = DEFAULT
     for part in (u_right, u_left):
         if part.stage != STAGE_PER_LUNG:
             raise InvalidArgumentError(f"fuse_final expects per-lung inputs, got {part.stage}")
+    _same_spacing((u_right, u_left))
     if (u_right.region & u_left.region).any():
         raise OverlapError("per-lung supports overlap; lungs must be disjoint")
     union = u_right.region | u_left.region
-    summed = u_right.values.astype(np.float64) + u_left.values.astype(np.float64)
-    normalized = percentile_minmax(summed, union, q)
+    # disjoint supports, each volume zero outside its own: the sum is exact
+    inside = u_right.values[union].astype(np.float64) + u_left.values[union]
+    p_q = percentile_nearest_rank(inside, q)
+    values = np.zeros(union.shape, dtype=np.float32)
+    values[union] = _minmax_scale(inside, p_q, float(inside.max()))
     return AnomalyVolume(
-        values=normalized.astype(np.float32),
+        values=_readonly(values),
         stage=STAGE_FINAL,
-        region=union,
+        region=_readonly(union),
         spacing_mm=u_right.spacing_mm,
     )
 

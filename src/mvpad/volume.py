@@ -70,6 +70,14 @@ def freeze_array(arr, dtype) -> np.ndarray:
     return out
 
 
+def checked_spacing(spacing_mm) -> tuple[float, float, float]:
+    """``spacing_mm`` as a tuple of 3 positive finite floats, else InvalidArgumentError."""
+    spacing = tuple(float(s) for s in spacing_mm)
+    if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
+        raise InvalidArgumentError(f"spacing_mm must be 3 positive finite reals, got {spacing_mm}")
+    return spacing
+
+
 @dataclass(frozen=True)
 class Volume:
     """Immutable 3D scalar grid with spacing metadata.
@@ -94,11 +102,8 @@ class Volume:
         elif vox.dtype == np.uint8:
             if int(vox.max(initial=0)) > max(VALID_LABELS):
                 raise InvalidArgumentError("uint8 label volume may only contain {0,1,2}")
-        spacing = tuple(float(s) for s in self.spacing_mm)
-        if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
-            raise InvalidArgumentError(f"spacing_mm must be 3 positive finite reals, got {self.spacing_mm}")
         object.__setattr__(self, "voxels", vox)
-        object.__setattr__(self, "spacing_mm", spacing)
+        object.__setattr__(self, "spacing_mm", checked_spacing(self.spacing_mm))
 
     @property
     def dims(self) -> tuple[int, int, int]:

@@ -284,6 +284,10 @@ class TestBankBuild:
         with pytest.raises(InvalidArgumentError):
             make_bank(np.zeros((4, 3)), source_count=2)
 
+    def test_zero_width_entries_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            make_bank(np.zeros((3, 0)))
+
 
 class TestNNDistance:
     def test_query_equal_to_entry_is_zero(self):
@@ -476,6 +480,10 @@ class TestBulkNNContract:
             bulk_nn_distance(np.full((1, 2), np.nan), np.zeros((1, 2)))
         with pytest.raises(InvalidArgumentError):
             bulk_nn_distance(np.zeros((1, 2)), np.full((1, 2), np.inf))
+
+    def test_rejects_zero_width_features(self):
+        with pytest.raises(InvalidArgumentError):
+            bulk_nn_distance(np.zeros((2, 0)), np.zeros((3, 0)))
 
 
 class TestAnomalyMap:

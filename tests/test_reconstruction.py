@@ -1,7 +1,12 @@
 """Percentile normalization, 2D-to-3D reverse projection, fusion, binarization."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvpad import (
     AnomalyMap2D,
@@ -13,21 +18,28 @@ from mvpad import (
     ProjectedMask,
     ProjectionGeometry,
     ProjectionType,
+    RunConfig,
     STAGE_FINAL,
     STAGE_PER_LUNG,
     STAGE_PER_PROJECTION,
     back_project_plane,
     binarize_top,
+    build_banks,
+    case_anomaly_maps,
+    compute_case_features,
     crop_resize_to_canvas,
     fuse_final,
     fuse_per_lung,
+    generate_dataset,
+    load_manifest_cases,
     localization_hit,
+    localize_case,
     mask_normalize_2d,
     percentile_minmax,
     percentile_nearest_rank,
-    replicate_along_axis,
     reverse_project,
 )
+from mvpad.reconstruction import _weighted_nearest_rank
 
 PT = ProjectionType.RIGHT_CORONAL
 
@@ -149,26 +161,6 @@ class TestBackProjection:
         with pytest.raises(DimensionMismatchError):
             back_project_plane(np.zeros((4, 4)), geo)
 
-    def test_replicate_shapes_and_values(self):
-        plane = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = replicate_along_axis(plane, 0, 3)
-        assert out.shape == (3, 2, 2)
-        for k in range(3):
-            np.testing.assert_array_equal(out[k], plane)
-
-    def test_hot_pixel_becomes_hot_line(self):
-        plane = np.zeros((4, 5))
-        plane[1, 2] = 1.0
-        out = replicate_along_axis(plane, 1, 6)  # coronal: insert y axis
-        assert out.shape == (4, 6, 5)
-        np.testing.assert_array_equal(out[1, :, 2], np.ones(6))
-        assert out.sum() == 6.0
-
-    def test_replicate_rejects_bad_axis_or_extent(self):
-        with pytest.raises(InvalidArgumentError):
-            replicate_along_axis(np.zeros((2, 2)), 3, 2)
-        with pytest.raises(InvalidArgumentError):
-            replicate_along_axis(np.zeros((2, 2)), 0, 0)
 
 
 class TestReverseProject:
@@ -205,6 +197,18 @@ class TestReverseProject:
         bad_geo = self.geometry(region_shape=(4, 5, 7))
         with pytest.raises(DimensionMismatchError):
             reverse_project(np.zeros((16, 16)), bad_geo, region)
+
+    def test_empty_region_rejected(self):
+        with pytest.raises(EmptyMaskError):
+            reverse_project(np.zeros((16, 16)), self.geometry(), np.zeros((4, 5, 6), dtype=bool))
+
+    def test_read_only_region_is_shared_not_copied(self):
+        region = np.zeros((4, 5, 6), dtype=bool)
+        region[1:3, 1:4, 1:5] = True
+        region.flags.writeable = False
+        out = reverse_project(np.random.default_rng(90).random((16, 16)), self.geometry(), region)
+        assert out.region is region
+        assert not out.values.flags.writeable
 
 
 class TestFusion:
@@ -291,6 +295,36 @@ class TestFusion:
         with pytest.raises(InvalidArgumentError):
             fuse_final(right, wrong)
 
+    def test_per_lung_rejects_mixed_spacing(self):
+        region = np.ones((2, 2, 2), dtype=bool)
+        ones = self.unit_volume(np.ones((2, 2, 2)), region)
+        coarse = AnomalyVolume(values=ones.values, stage=STAGE_PER_PROJECTION, region=region, spacing_mm=(2.0, 1.0, 1.0))
+        with pytest.raises(DimensionMismatchError):
+            fuse_per_lung(ones, coarse, ones, region)
+
+    def test_final_rejects_mixed_spacing(self):
+        right, left = self.lung_pair()
+        left = AnomalyVolume(values=left.values, stage=STAGE_PER_LUNG, region=left.region, spacing_mm=(1.0, 1.0, 2.5))
+        with pytest.raises(DimensionMismatchError):
+            fuse_final(right, left)
+
+    def test_common_spacing_carried_through(self):
+        region = np.zeros((1, 1, 6), dtype=bool)
+        region[0, 0, :3] = True
+        spacing = (2.5, 0.7, 0.7)
+        part = AnomalyVolume(values=np.where(region, 0.5, 0.0).astype(np.float32), stage=STAGE_PER_PROJECTION, region=region, spacing_mm=spacing)
+        right = fuse_per_lung(part, part, part, region)
+        left = AnomalyVolume(values=np.zeros((1, 1, 6), dtype=np.float32), stage=STAGE_PER_LUNG, region=~region, spacing_mm=spacing)
+        assert right.spacing_mm == spacing
+        assert fuse_final(right, left).spacing_mm == spacing
+
+    def test_read_only_mask_is_shared_not_copied(self):
+        region = np.ones((2, 2, 2), dtype=bool)
+        region.flags.writeable = False
+        ones = self.unit_volume(np.ones((2, 2, 2)), region)
+        assert ones.region is region
+        assert fuse_per_lung(ones, ones, ones, region).region is region
+
 
 class TestAnomalyVolumeType:
     def test_rejects_negative_values(self):
@@ -307,6 +341,43 @@ class TestAnomalyVolumeType:
         region[0] = True
         with pytest.raises(InvalidArgumentError):
             AnomalyVolume(values=np.ones((2, 2, 2), dtype=np.float32), stage=STAGE_FINAL, region=region)
+
+    @pytest.mark.parametrize("stage", [STAGE_PER_PROJECTION, STAGE_PER_LUNG, STAGE_FINAL])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_at_every_stage(self, stage, bad):
+        vals = np.zeros((2, 3, 4), dtype=np.float32)
+        vals[1, 2, 3] = bad
+        with pytest.raises(InvalidArgumentError):
+            make_volume(vals, stage)
+
+    def test_negative_zero_outside_region_counts_as_zero(self):
+        region = np.zeros((2, 2, 2), dtype=bool)
+        region[0] = True
+        vals = np.where(region, 0.5, -0.0).astype(np.float32)
+        assert AnomalyVolume(values=vals, stage=STAGE_FINAL, region=region).dims == (2, 2, 2)
+
+    @pytest.mark.parametrize(
+        "spacing",
+        [(np.nan, -1.0, 0.0), (1.0,), (1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, -2.0, 1.0), (1.0, 1.0, np.inf)],
+    )
+    def test_rejects_bad_spacing(self, spacing):
+        with pytest.raises(InvalidArgumentError):
+            AnomalyVolume(
+                values=np.zeros((2, 2, 2), dtype=np.float32),
+                stage=STAGE_FINAL,
+                region=np.ones((2, 2, 2), dtype=bool),
+                spacing_mm=spacing,
+            )
+
+    def test_spacing_stored_as_float_tuple(self):
+        vol = AnomalyVolume(
+            values=np.zeros((2, 2, 2), dtype=np.float32),
+            stage=STAGE_FINAL,
+            region=np.ones((2, 2, 2), dtype=bool),
+            spacing_mm=[2, 1, 0.5],
+        )
+        assert vol.spacing_mm == (2.0, 1.0, 0.5)
+        assert all(type(s) is float for s in vol.spacing_mm)
 
     def test_argmax_voxel(self):
         vals = np.zeros((3, 4, 5), dtype=np.float32)
@@ -348,3 +419,150 @@ class TestBinarize:
         assert localization_hit(pred, gt2) is False
         with pytest.raises(DimensionMismatchError):
             localization_hit(pred, np.zeros((3, 3, 3)))
+
+
+class TestWeightedNearestRank:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 4)), min_size=1, max_size=30),
+        q=st.floats(0.0, 100.0, exclude_max=True),
+    )
+    @example(pairs=[(2, 1), (2, 1), (-1, 1)], q=0.0)
+    @example(pairs=[(1, 3), (0, 1), (1, 2), (3, 1)], q=math.nextafter(100.0, 0.0))
+    @example(pairs=[(0, 1)], q=50.0)
+    def test_equals_order_statistic_of_repeated_values(self, pairs, q):
+        values = np.array([v for v, _ in pairs], dtype=np.float64) / 4.0
+        counts = np.array([c for _, c in pairs], dtype=np.int64)
+        expanded = np.sort(np.repeat(values, counts))
+        rank = min(max(math.ceil(q * expanded.size / 100.0), 1), expanded.size)
+        assert _weighted_nearest_rank(values, counts, q) == expanded[rank - 1]
+
+    def test_rejections_match_unweighted(self):
+        with pytest.raises(EmptyMaskError):
+            _weighted_nearest_rank(np.array([]), np.array([], dtype=np.int64), 50.0)
+        with pytest.raises(InvalidArgumentError):
+            _weighted_nearest_rank(np.array([1.0]), np.array([2]), 100.0)
+
+
+# ---------------------------------------------------------------------------
+# The voxel-grid computation the plane-space code replaced, kept as an
+# oracle: a float64 replica of each plane, a percentile from a full sort,
+# and float64 sums over the whole grid.
+
+
+def _reference_percentile(values, q):
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    rank = min(max(math.ceil(q * flat.size / 100.0), 1), flat.size)
+    return float(np.sort(flat)[rank - 1])
+
+
+def _reference_minmax(values, region, q):
+    vals = np.asarray(values, dtype=np.float64)
+    inside = vals[region]
+    p_q = _reference_percentile(inside, q)
+    m = float(inside.max())
+    out = np.zeros(vals.shape, dtype=np.float64)
+    if m > p_q:
+        out[region] = np.clip((vals[region] - p_q) / (m - p_q), 0.0, 1.0)
+    return out
+
+
+def _reference_reverse_project(grid, geometry, region, q):
+    plane = back_project_plane(grid, geometry)
+    axis = geometry.ptype.axis
+    replica = np.repeat(np.expand_dims(plane, axis), region.shape[axis], axis=axis)
+    return _reference_minmax(replica, region, q).astype(np.float32)
+
+
+def _reference_fuse_per_lung(parts, mask):
+    total = sum(part.astype(np.float64) for part in parts)
+    total[~mask] = 0.0
+    return total.astype(np.float32)
+
+
+def _reference_fuse_final(right, left, union, q):
+    summed = right.astype(np.float64) + left.astype(np.float64)
+    return _reference_minmax(summed, union, q).astype(np.float32)
+
+
+def _reference_binarize(values, region, pct):
+    return region & (values >= _reference_percentile(values[region], pct))
+
+
+def assert_same_bytes(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.fixture(scope="module")
+def phantom_maps(tmp_path_factory):
+    """Four 64x96x96 phantom cases (two abnormal) and their anomaly maps
+    against banks built from the two normals."""
+    manifest = generate_dataset(2, 2, seed=515, out_dir=tmp_path_factory.mktemp("recon"))
+    cases, records = load_manifest_cases(manifest)
+    cfg = RunConfig(canvas=(64, 64), seed=3)
+    feats = {cid: compute_case_features(case, cfg) for cid, case in cases.items()}
+    banks = build_banks([feats[r.case_id] for r in records if r.label == "normal"], cfg)
+    maps = {cid: case_anomaly_maps(feats[cid], banks, cfg) for cid in cases}
+    return cases, feats, banks, maps, cfg
+
+
+class TestPlaneSpaceEquivalence:
+    @pytest.mark.parametrize("ptype", list(ProjectionType))
+    @pytest.mark.parametrize("q", [0.0, 50.0, 99.5])
+    def test_reverse_project_matches_reference_on_sparse_regions(self, ptype, q):
+        rng = np.random.default_rng(91)
+        shape = (5, 6, 7)
+        region = rng.random(shape) < 0.3
+        column = [0, 0]
+        column.insert(ptype.axis, slice(None))
+        region[tuple(column)] = False  # no region voxel behind plane pixel (0, 0) ...
+        plane_shape = tuple(d for ax, d in enumerate(shape) if ax != ptype.axis)
+        grid = rng.random(plane_shape)
+        grid[0, 0] = 5.0  # ... so the hottest pixel must not set the max
+        geo = ProjectionGeometry(ptype=ptype, plane_shape=plane_shape, bbox=(0, 0, *plane_shape), scale=1.0, canvas=plane_shape)
+        got = reverse_project(grid, geo, region, q)
+        assert_same_bytes(got.values, _reference_reverse_project(grid, geo, region, q))
+
+    @pytest.mark.parametrize("q", [0.0, 50.0, 99.5])
+    def test_every_stage_matches_voxel_reference_bytes(self, phantom_maps, q):
+        cases, feats, banks, maps, cfg = phantom_maps
+        for cid, case in cases.items():
+            lungs, ref_lungs, regions = {}, {}, {}
+            for side in ("right", "left"):
+                region = case.lungs.mask(side).voxels > 0
+                parts, ref_parts = {}, {}
+                for ptype in cfg.ptypes:
+                    if ptype.side != side:
+                        continue
+                    mask = feats[cid].masks[ptype]
+                    grid = mask_normalize_2d(maps[cid][ptype], mask, q)
+                    parts[ptype.plane] = reverse_project(grid, mask.geometry, region, q)
+                    ref_parts[ptype.plane] = _reference_reverse_project(grid, mask.geometry, region, q)
+                    assert_same_bytes(parts[ptype.plane].values, ref_parts[ptype.plane])
+                order = ("sagittal", "coronal", "axial")
+                lungs[side] = fuse_per_lung(*(parts[p] for p in order), region)
+                ref_lungs[side] = _reference_fuse_per_lung([ref_parts[p] for p in order], region)
+                assert_same_bytes(lungs[side].values, ref_lungs[side])
+                regions[side] = region
+            union = regions["right"] | regions["left"]
+            fused = fuse_final(lungs["right"], lungs["left"], q)
+            ref_fused = _reference_fuse_final(ref_lungs["right"], ref_lungs["left"], union, q)
+            assert_same_bytes(fused.values, ref_fused)
+            for pct in (q, cfg.localization_pct):
+                assert_same_bytes(binarize_top(fused, pct), _reference_binarize(ref_fused, union, pct))
+            result = localize_case(case, feats[cid], banks, cfg.with_overrides(q=q), maps=maps[cid])
+            assert_same_bytes(result.fused.values, ref_fused)
+            assert_same_bytes(result.binarized, _reference_binarize(ref_fused, union, cfg.localization_pct))
+
+    def test_localize_case_peak_memory_per_voxel(self, phantom_maps):
+        # the voxel-grid computation peaked at about 53 traced bytes per voxel
+        cases, feats, banks, maps, cfg = phantom_maps
+        case = next(c for c in cases.values() if c.gt is not None)
+        tracemalloc.start()
+        try:
+            localize_case(case, feats[case.case_id], banks, cfg, maps=maps[case.case_id])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / math.prod(case.ct.dims) <= 36.0
