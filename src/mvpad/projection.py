@@ -10,6 +10,26 @@ Projected images are cropped to the projected lung's bounding box (plus a
 fixed canvas so feature grids are comparable across cases. The crop box,
 scale, and source plane shape are kept as geometry metadata for the inverse
 mapping used during 3D reconstruction.
+
+``project_case`` produces the bytes of the reference path (``prepare_lung_volume``
+→ ``mip_project``/``aip_project``, ``project_mask``) while reading only each
+lung's bounding box, and without a float copy of the whole grid:
+
+- Box rule. Outside the lung's 3D bounding box every prepared voxel is the
+  fill ``hu_lo``, which the window maps to exactly 0.0; so every ray that
+  misses the box projects to 0.0 (image) and 0 (mask). The planes start as
+  zeros and only the box's 2D footprint is computed.
+- MIP reduces first, then windows. The window (clip, float64 affine, clip,
+  float32; ``volume.window_unit``) is monotone non-decreasing at every step,
+  rounding included, so ``max(window(x)) == window(max(x))`` bit for bit. The
+  max runs over the int16 masked box; only the 2D result is windowed.
+- AIP sums the windowed box in float64 and divides by the *full* axis length.
+  For an int16 window (hi - lo < 2**16) and axis lengths below 2**14 this
+  equals ``np.mean(..., dtype=float64)`` over the whole grid byte for byte:
+  every nonzero unit value is a float32 >= 1/(hi - lo) > 2**-16, hence a
+  multiple of 2**-39, and at most 1. Every partial sum of such values is then
+  a multiple of 2**-39 below 2**14, which float64 holds exactly, so the sum is
+  exact in any order and the zeros outside the box change nothing.
 """
 
 from __future__ import annotations
@@ -28,8 +48,12 @@ from .volume import (
     Volume,
     freeze_array,
     is_int,
+    mark_readonly,
     normalize_truncated,
+    require_hu,
+    require_window,
     truncate_hu,
+    window_unit,
 )
 
 DEFAULT_CANVAS = (256, 256)
@@ -177,10 +201,10 @@ def prepare_lung_volume(ct: Volume, lung: Volume, *, hu_lo=DEFAULT_HU_LO, hu_hi=
     Non-lung voxels are set to hu_lo before truncation, so they land exactly
     at 0.0 in the normalized volume.
     """
-    if ct.dims != lung.dims:
-        raise DimensionMismatchError(f"ct dims {ct.dims} != lung mask dims {lung.dims}")
+    _check_lung_dims(ct, lung)
+    require_hu(ct, "prepare_lung_volume")
     masked = np.where(lung.voxels > 0, ct.voxels, np.int16(hu_lo))
-    vol = Volume(masked.astype(np.int16), ct.spacing_mm)
+    vol = Volume(masked, ct.spacing_mm)
     return normalize_truncated(truncate_hu(vol, hu_lo, hu_hi), hu_lo, hu_hi)
 
 
@@ -301,11 +325,57 @@ def crop_resize_to_canvas(
     canvas_img[:rh, :rw] = resized_img
     canvas_mask[:rh, :rw] = resized_mask
     canvas_img = np.clip(canvas_img, 0.0, 1.0).astype(np.float32)
-    return ProjectedImage(geometry, canvas_img), ProjectedMask(geometry, canvas_mask)
+    image = ProjectedImage(geometry, mark_readonly(canvas_img))
+    return image, ProjectedMask(geometry, mark_readonly(canvas_mask))
 
 
 # ---------------------------------------------------------------------------
 # Per-case driver
+
+
+def _check_lung_dims(ct: Volume, lung: Volume) -> None:
+    if ct.dims != lung.dims:
+        raise DimensionMismatchError(f"ct dims {ct.dims} != lung mask dims {lung.dims}")
+
+
+def _lung_box(lung: np.ndarray, side: str) -> tuple[slice, slice, slice]:
+    """Tight 3D bounding box of ``lung > 0``; EmptyMaskError when there is none.
+
+    ``max(...) > 0`` equals ``(lung > 0).any(...)`` for every volume dtype,
+    because ``> 0`` is monotone."""
+    yx = lung.max(axis=0) > 0
+    rows = np.flatnonzero(yx.any(axis=1))
+    if rows.size == 0:
+        raise EmptyMaskError(f"empty {side} lung mask, cannot project the {side} side")
+    cols = np.flatnonzero(yx.any(axis=0))
+    ys, xs = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+    zs = np.flatnonzero(lung[:, ys, xs].max(axis=(1, 2)) > 0)
+    return slice(zs[0], zs[-1] + 1), ys, xs
+
+
+def _planes(hu_box, fg_box, box, dims, method, hu_lo, hu_hi) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(float32 image, uint8 mask) plane per collapse axis 0, 1, 2.
+
+    ``hu_box`` is the masked int16 box (non-lung voxels already ``hu_lo``),
+    ``fg_box`` its foreground, or None when the box is the whole unmasked grid.
+    Planes are zero outside the box's footprint (see the module docstring)."""
+    unit_box = window_unit(hu_box, hu_lo, hu_hi) if method == "aip" else None
+    planes = []
+    for axis in range(3):
+        shape = tuple(d for a, d in enumerate(dims) if a != axis)
+        footprint = tuple(s for a, s in enumerate(box) if a != axis)
+        img = np.zeros(shape, dtype=np.float32)
+        if method == "mip":
+            img[footprint] = window_unit(hu_box.max(axis=axis), hu_lo, hu_hi)
+        else:  # exact float64 sum, so dividing by the full length is np.mean's result
+            img[footprint] = (unit_box.sum(axis=axis, dtype=np.float64) / dims[axis]).astype(np.float32)
+        if fg_box is None:
+            mask = np.ones(shape, dtype=np.uint8)
+        else:
+            mask = np.zeros(shape, dtype=np.uint8)
+            mask[footprint] = fg_box.any(axis=axis)
+        planes.append((img, mask))
+    return planes
 
 
 def project_case(
@@ -320,34 +390,29 @@ def project_case(
 ) -> list[tuple[ProjectedImage, ProjectedMask]]:
     """Project one case into the six canonical (image, mask) pairs.
 
-    The CT is windowed to [hu_lo, hu_hi] HU before projection. With
+    The int16 CT is windowed to [hu_lo, hu_hi] HU before projection. With
     ``unsegmented=True`` the lung masks are ignored (the no-segmentation
     ablation): the whole truncated volume is projected and the "mask" is the
     full plane, so the right/left pairs coincide.
     """
     if method not in ("mip", "aip"):
         raise InvalidArgumentError(f"projection method must be mip|aip, got {method!r}")
-    project = mip_project if method == "mip" else aip_project
-
-    prepared: dict[str, Volume] = {}
-    masks: dict[str, Volume] = {}
+    lungs = {} if unsegmented else {side: lung_pair.mask(side) for side in ("right", "left")}
+    for lung in lungs.values():
+        _check_lung_dims(ct, lung)
+    require_hu(ct, "project_case")
+    require_window(hu_lo, hu_hi, "project_case")
     if unsegmented:
-        whole = prepare_unsegmented_volume(ct, hu_lo=hu_lo, hu_hi=hu_hi)
-        full = Volume(np.ones(ct.dims, dtype=np.uint8), ct.spacing_mm)
-        for side in ("right", "left"):
-            prepared[side] = whole
-            masks[side] = full
+        planes = _planes(ct.voxels, None, (slice(None),) * 3, ct.dims, method, hu_lo, hu_hi)
+        side_planes = {"right": planes, "left": planes}
     else:
-        for side in ("right", "left"):
-            side_mask = lung_pair.mask(side)
-            prepared[side] = prepare_lung_volume(ct, side_mask, hu_lo=hu_lo, hu_hi=hu_hi)
-            masks[side] = side_mask
-
-    out = []
-    for ptype in ALL_PROJECTIONS:
-        img2d = project(prepared[ptype.side], ptype)
-        m2d = project_mask(masks[ptype.side], ptype)
-        if not m2d.any():
-            raise EmptyMaskError(f"empty {ptype.side} lung mask, cannot project {ptype.value}")
-        out.append(crop_resize_to_canvas(np.asarray(img2d, dtype=np.float64), m2d, ptype, canvas))
-    return out
+        side_planes = {}
+        for side, lung in lungs.items():
+            box = _lung_box(lung.voxels, side)
+            fg = lung.voxels[box] > 0
+            masked = np.where(fg, ct.voxels[box], np.int16(hu_lo))
+            side_planes[side] = _planes(masked, fg, box, ct.dims, method, hu_lo, hu_hi)
+    return [
+        crop_resize_to_canvas(*side_planes[ptype.side][ptype.axis], ptype, canvas)
+        for ptype in ALL_PROJECTIONS
+    ]

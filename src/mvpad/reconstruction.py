@@ -34,7 +34,7 @@ from .errors import (
 )
 from .memory_bank import AnomalyMap2D
 from .projection import ProjectedMask, ProjectionGeometry, bilinear_sample
-from .volume import checked_spacing, freeze_array
+from .volume import checked_spacing, freeze_array, mark_readonly
 
 DEFAULT_PERCENTILE_Q = 50.0
 DEFAULT_BINARIZE_PCT = 99.5
@@ -91,12 +91,6 @@ class AnomalyVolume:
     def argmax_voxel(self) -> tuple[int, int, int]:
         flat = int(np.argmax(self.values))
         return tuple(int(v) for v in np.unravel_index(flat, self.values.shape))
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    """Mark a freshly built array read-only, so AnomalyVolume keeps it without a copy."""
-    arr.flags.writeable = False
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +219,7 @@ def reverse_project(
     values = np.zeros(region.shape, dtype=np.float32)
     values[region] = np.broadcast_to(np.expand_dims(norm, ptype.axis), region.shape)[region]
     return AnomalyVolume(
-        values=_readonly(values),
+        values=mark_readonly(values),
         stage=STAGE_PER_PROJECTION,
         region=region,
         spacing_mm=spacing_mm,
@@ -266,7 +260,7 @@ def fuse_per_lung(
     values = np.zeros(mask.shape, dtype=np.float32)
     values[mask] = sum(part.values[mask].astype(np.float64) for part in parts)
     return AnomalyVolume(
-        values=_readonly(values),
+        values=mark_readonly(values),
         stage=STAGE_PER_LUNG,
         region=mask,
         spacing_mm=u_sagittal.spacing_mm,
@@ -290,9 +284,9 @@ def fuse_final(u_right: AnomalyVolume, u_left: AnomalyVolume, q: float = DEFAULT
     values = np.zeros(union.shape, dtype=np.float32)
     values[union] = _minmax_scale(inside, p_q, float(inside.max()))
     return AnomalyVolume(
-        values=_readonly(values),
+        values=mark_readonly(values),
         stage=STAGE_FINAL,
-        region=_readonly(union),
+        region=mark_readonly(union),
         spacing_mm=u_right.spacing_mm,
     )
 

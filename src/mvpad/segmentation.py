@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ComponentSplitError, DimensionMismatchError, EmptyMaskError
-from .volume import Volume
+from .volume import VALID_LABELS, Volume, mark_readonly, require_hu
 
 # 6-connectivity in 3D: faces only
 _CONN6 = ndimage.generate_binary_structure(3, 1)
@@ -64,14 +64,21 @@ def split_left_right(mask: Volume) -> LungPair:
     x index becomes the right lung.
     """
     vox = mask.voxels
-    if not vox.any():
+    if vox.dtype != np.uint8:  # a uint8 Volume holds only VALID_LABELS already
+        unexpected = sorted(set(np.unique(vox).tolist()) - set(VALID_LABELS))
+        if unexpected:
+            raise ComponentSplitError(f"unexpected label values {unexpected} in mask")
+    is_right, is_left = vox == 1, vox == 2
+    has_right, has_left = bool(is_right.any()), bool(is_left.any())
+    if not (has_right or has_left):
         raise EmptyMaskError("cannot split an empty mask")
-    labels_present = set(np.unique(vox).tolist()) - {0}
-    if labels_present == {1, 2}:
-        right = (vox == 1).astype(np.uint8)
-        left = (vox == 2).astype(np.uint8)
-    elif labels_present <= {1}:
-        labeled, n = ndimage.label(vox > 0, structure=_CONN6)
+    if has_right and has_left:
+        right = mark_readonly(is_right.view(np.uint8))
+        left = mark_readonly(is_left.view(np.uint8))
+    elif has_left:
+        raise ComponentSplitError("labeled mask holds label 2 (left lung) but no label 1")
+    else:
+        labeled, n = ndimage.label(is_right, structure=_CONN6)
         if n < 2:
             raise ComponentSplitError(f"cannot split: found {n} connected component(s), need 2")
         sizes = ndimage.sum_labels(np.ones_like(labeled), labeled, index=np.arange(1, n + 1))
@@ -81,8 +88,6 @@ def split_left_right(mask: Volume) -> LungPair:
         left_label = keep[0] if right_label == keep[1] else keep[1]
         right = (labeled == right_label).astype(np.uint8)
         left = (labeled == left_label).astype(np.uint8)
-    else:
-        raise ComponentSplitError(f"unexpected label values {sorted(labels_present)} in mask")
     return LungPair(Volume(right, mask.spacing_mm), Volume(left, mask.spacing_mm))
 
 
@@ -94,8 +99,7 @@ def threshold_segment_phantom(ct: Volume) -> Volume:
     blobs (both outside the HU band but enclosed by lung); the two largest
     interior components become the lungs, labeled via split_left_right.
     """
-    if ct.voxels.dtype != np.int16:
-        raise EmptyMaskError("threshold segmentation expects an int16 HU volume")
+    require_hu(ct, "threshold_segment_phantom")
     lo, hi = THRESHOLD_BAND_HU
     band = (ct.voxels >= lo) & (ct.voxels <= hi)
     ball = _ball(_CLOSING_RADIUS)

@@ -70,6 +70,12 @@ def freeze_array(arr, dtype) -> np.ndarray:
     return out
 
 
+def mark_readonly(arr: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only, so ``freeze_array`` keeps it without a copy."""
+    arr.flags.writeable = False
+    return arr
+
+
 def checked_spacing(spacing_mm) -> tuple[float, float, float]:
     """``spacing_mm`` as a tuple of 3 positive finite floats, else InvalidArgumentError."""
     spacing = tuple(float(s) for s in spacing_mm)
@@ -199,32 +205,48 @@ def load_volume(path) -> Volume:
 # HU truncation and normalization
 
 
-def _require_hu(vol: Volume, op: str) -> None:
+def require_hu(vol: Volume, op: str) -> None:
+    """InvalidArgumentError unless ``vol`` holds int16 Hounsfield units."""
     if vol.voxels.dtype != np.int16:
         raise InvalidArgumentError(f"{op} expects an int16 HU volume, got {vol.voxels.dtype}")
 
 
+def require_window(lo, hi, op: str) -> None:
+    """InvalidArgumentError unless the HU window [lo, hi] is non-empty."""
+    if lo >= hi:
+        raise InvalidArgumentError(f"{op} needs lo < hi, got lo={lo}, hi={hi}")
+
+
+def window_unit(hu: np.ndarray, lo, hi) -> np.ndarray:
+    """The HU window as arrays: clip to [lo, hi], ``(v - lo) / (hi - lo)`` in
+    float64, clip to [0, 1], round to float32.
+
+    Every step, the final rounding included, is monotone non-decreasing in
+    ``v``, so the window commutes with max: ``window_unit(x.max(axis)) ==
+    window_unit(x).max(axis)`` bit for bit. ``lo < hi`` is the caller's check.
+    """
+    unit = hu.astype(np.float64)
+    np.clip(unit, lo, hi, out=unit)
+    unit -= lo
+    unit /= float(hi - lo)
+    np.clip(unit, 0.0, 1.0, out=unit)
+    return unit.astype(np.float32)
+
+
 def truncate_hu(vol: Volume, lo: int = DEFAULT_HU_LO, hi: int = DEFAULT_HU_HI) -> Volume:
     """Clamp every voxel into [lo, hi] HU. Idempotent."""
-    _require_hu(vol, "truncate_hu")
-    if lo >= hi:
-        raise InvalidArgumentError(f"truncate_hu needs lo < hi, got lo={lo}, hi={hi}")
+    require_hu(vol, "truncate_hu")
+    require_window(lo, hi, "truncate_hu")
     return Volume(np.clip(vol.voxels, lo, hi), vol.spacing_mm)
 
 
 def normalize_truncated(vol: Volume, lo: int = DEFAULT_HU_LO, hi: int = DEFAULT_HU_HI) -> Volume:
-    """Map HU values already truncated to [lo, hi] linearly onto [0, 1].
-
-    out = (v - lo) / (hi - lo) as float32. Values outside [lo, hi]
-    (callers should truncate first) are clipped so the unit-range
-    invariant always holds.
-    """
-    _require_hu(vol, "normalize_truncated")
-    if lo >= hi:
-        raise InvalidArgumentError(f"normalize_truncated needs lo < hi, got lo={lo}, hi={hi}")
-    unit = (vol.voxels.astype(np.float64) - lo) / float(hi - lo)
-    np.clip(unit, 0.0, 1.0, out=unit)
-    return Volume(unit.astype(np.float32), vol.spacing_mm)
+    """Map HU values already truncated to [lo, hi] linearly onto [0, 1]
+    (``window_unit``). Values outside [lo, hi] are clipped, so the
+    unit-range invariant always holds."""
+    require_hu(vol, "normalize_truncated")
+    require_window(lo, hi, "normalize_truncated")
+    return Volume(mark_readonly(window_unit(vol.voxels, lo, hi)), vol.spacing_mm)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from mvpad import (
     load_bank,
     load_volume,
     read_manifest,
+    save_volume,
 )
 from mvpad.cli import main
 
@@ -257,6 +258,37 @@ class TestConfigScoresManifest:
                      "--out", tmp_path / "d")
         assert rc == InvalidArgumentError.exit_code == 3
         assert not (tmp_path / "d").exists()
+
+    @staticmethod
+    def label_grid_as_ct_manifest(tmp_path, n_cases=1):
+        """A manifest whose CT paths name a uint8 lung label file."""
+        labels = np.zeros((4, 6, 8), dtype=np.uint8)
+        labels[1:3, 1:5, 1:3] = 1
+        labels[1:3, 1:5, 5:7] = 2
+        save_volume(Volume(labels), tmp_path / "labels.mvol")
+        manifest = tmp_path / "m.csv"
+        rows = "".join(f"c{i},labels.mvol,labels.mvol,normal,\n" for i in range(n_cases))
+        manifest.write_text(",".join(MANIFEST_HEADER) + "\n" + rows, encoding="utf-8")
+        return manifest
+
+    def test_cli_score_rejects_label_grid_as_ct(self, tmp_path, capsys):
+        manifest = self.label_grid_as_ct_manifest(tmp_path, n_cases=2)
+        banks = tmp_path / "banks"
+        banks.mkdir()
+        for ptype in ProjectionType:
+            (banks / bank_filename(ptype)).write_bytes(mbnk(projection=ptype.value))
+        out = tmp_path / "scores.csv"
+        rc = run_cli(capsys, "score", "--manifest", manifest, "--cal-manifest", manifest,
+                     "--banks", banks, "--out", out)
+        assert rc == InvalidArgumentError.exit_code == 3
+        assert not out.exists()
+
+    def test_cli_segment_eval_rejects_label_grid_as_ct(self, tmp_path, capsys):
+        out = tmp_path / "seg.json"
+        rc = run_cli(capsys, "segment-eval", "--manifest", self.label_grid_as_ct_manifest(tmp_path),
+                     "--out", out)
+        assert rc == InvalidArgumentError.exit_code == 3
+        assert not out.exists()
 
     def test_cli_segment_eval_rejects_empty_manifest(self, tmp_path, capsys):
         manifest = tmp_path / "m.csv"

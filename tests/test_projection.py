@@ -1,7 +1,13 @@
 """Multi-view projection: plane collapse, HU preparation, crop/resize, symmetry."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mvpad import (
     ALL_PROJECTIONS,
@@ -27,6 +33,7 @@ from mvpad import (
     split_left_right,
     truncate_hu,
 )
+from mvpad.projection import prepare_unsegmented_volume
 
 
 def unit_volume(arr):
@@ -81,6 +88,16 @@ class TestPrepareLungVolume:
         ct = Volume(np.zeros((2, 2, 2), dtype=np.int16))
         lung = Volume(np.zeros((2, 2, 3), dtype=np.uint8))
         with pytest.raises(DimensionMismatchError):
+            prepare_lung_volume(ct, lung)
+
+    @pytest.mark.parametrize("ct", [
+        Volume(np.full((2, 2, 2), 0.5, dtype=np.float32)),
+        Volume(np.ones((2, 2, 2), dtype=np.uint8)),
+    ])
+    def test_rejects_non_int16_ct(self, ct):
+        # a label grid or unit volume used to be cast to int16 and projected
+        lung = Volume(np.ones((2, 2, 2), dtype=np.uint8))
+        with pytest.raises(InvalidArgumentError):
             prepare_lung_volume(ct, lung)
 
 
@@ -374,3 +391,148 @@ class TestProjectCase:
         default = project_case(ct, pair, canvas=(64, 64), unsegmented=unsegmented)
         wide = project_case(ct, pair, canvas=(64, 64), unsegmented=unsegmented, hu_lo=-1000, hu_hi=200)
         assert any(not np.array_equal(a.pixels, b.pixels) for (a, _), (b, _) in zip(default, wide))
+
+    @pytest.mark.parametrize("unsegmented", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    def test_rejects_non_int16_ct(self, phantom, dtype, unsegmented):
+        ct, pair = phantom
+        bad = Volume(np.full(ct.dims, 0.5, dtype) if dtype == np.float32 else pair.labeled().voxels, ct.spacing_mm)
+        assert bad.voxels.dtype == dtype
+        with pytest.raises(InvalidArgumentError):
+            project_case(bad, pair, canvas=(64, 64), unsegmented=unsegmented)
+
+    def test_dims_mismatch_raises(self, phantom):
+        ct, pair = phantom
+        small = Volume(ct.voxels[:-1], ct.spacing_mm)
+        with pytest.raises(DimensionMismatchError):
+            project_case(small, pair, canvas=(64, 64))
+
+    @pytest.mark.parametrize("hu_lo, hu_hi", [(0, 0), (100, -100)])
+    def test_empty_window_raises(self, phantom, hu_lo, hu_hi):
+        ct, pair = phantom
+        with pytest.raises(InvalidArgumentError):
+            project_case(ct, pair, canvas=(64, 64), hu_lo=hu_lo, hu_hi=hu_hi)
+
+
+# ---------------------------------------------------------------------------
+# project_case against the reference path over whole-grid prepared volumes
+
+
+def reference_project_case(ct, pair, method, canvas, unsegmented, hu_lo, hu_hi):
+    """The reference definition: prepare each side's whole unit volume, collapse
+    it with mip_project/aip_project and project_mask, then crop and resize."""
+    project = mip_project if method == "mip" else aip_project
+    if unsegmented:
+        whole = prepare_unsegmented_volume(ct, hu_lo=hu_lo, hu_hi=hu_hi)
+        full = Volume(np.ones(ct.dims, dtype=np.uint8), ct.spacing_mm)
+        sides = {side: (whole, full) for side in ("right", "left")}
+    else:
+        sides = {
+            side: (prepare_lung_volume(ct, pair.mask(side), hu_lo=hu_lo, hu_hi=hu_hi), pair.mask(side))
+            for side in ("right", "left")
+        }
+    out = []
+    for ptype in ALL_PROJECTIONS:
+        unit, mask = sides[ptype.side]
+        img2d = np.asarray(project(unit, ptype), dtype=np.float64)
+        out.append(crop_resize_to_canvas(img2d, project_mask(mask, ptype), ptype, canvas))
+    return out
+
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want) == len(ALL_PROJECTIONS)
+    for (gi, gm), (wi, wm) in zip(got, want):
+        assert gi.geometry == wi.geometry and gm.geometry == wm.geometry
+        assert gi.pixels.dtype == wi.pixels.dtype and gi.pixels.tobytes() == wi.pixels.tobytes()
+        assert gm.pixels.dtype == wm.pixels.dtype and gm.pixels.tobytes() == wm.pixels.tobytes()
+
+
+@pytest.fixture(scope="module", params=[((32, 48, 48), 9), ((64, 96, 96), 3)], ids=["32x48x48", "64x96x96"])
+def sized_phantom(request):
+    dims, seed = request.param
+    ct, mask, _ = generate_case(PhantomConfig(dims=dims, seed=seed))
+    return ct, split_left_right(mask)
+
+
+class TestProjectCaseMatchesReference:
+    @pytest.mark.parametrize("unsegmented", [False, True], ids=["segmented", "unsegmented"])
+    @pytest.mark.parametrize("hu_lo, hu_hi", [(-800, 0), (-1000, 200)])
+    @pytest.mark.parametrize("method", ["mip", "aip"])
+    def test_phantom_bytes_equal_reference(self, sized_phantom, method, hu_lo, hu_hi, unsegmented):
+        ct, pair = sized_phantom
+        args = (ct, pair, method, (64, 64), unsegmented, hu_lo, hu_hi)
+        got = project_case(*args[:5], hu_lo=hu_lo, hu_hi=hu_hi)
+        assert_same_bytes(got, reference_project_case(*args))
+
+    @pytest.mark.parametrize("method", ["mip", "aip"])
+    def test_one_voxel_lungs_in_opposite_corners(self, method):
+        # each lung's box is one voxel on the grid border; every other ray misses it
+        ct = Volume(np.random.default_rng(5).integers(-1500, 600, (5, 6, 7)).astype(np.int16))
+        labels = np.zeros(ct.dims, dtype=np.uint8)
+        labels[0, 0, 0] = 1
+        labels[-1, -1, -1] = 2
+        pair = split_left_right(Volume(labels))
+        got = project_case(ct, pair, method=method, canvas=(16, 16))
+        assert_same_bytes(got, reference_project_case(ct, pair, method, (16, 16), False, -800, 0))
+
+    @pytest.mark.parametrize("method", ["mip", "aip"])
+    def test_lung_box_spanning_the_whole_grid(self, method):
+        ct = Volume(np.random.default_rng(6).integers(-1500, 600, (4, 5, 6)).astype(np.int16))
+        labels = np.zeros(ct.dims, dtype=np.uint8)
+        labels[0, 0, 0] = labels[-1, -1, 0] = 1
+        labels[0, -1, -1] = labels[-1, 0, -1] = 2
+        pair = split_left_right(Volume(labels))
+        got = project_case(ct, pair, method=method, canvas=(16, 16))
+        assert_same_bytes(got, reference_project_case(ct, pair, method, (16, 16), False, -800, 0))
+
+
+@st.composite
+def small_cases(draw):
+    """A random int16 grid with HU on both sides of the window and two disjoint,
+    non-empty lungs; the left lung is a single voxel in about half the cases."""
+    dims = (draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(2, 6)))
+    n = math.prod(dims)
+    hu = draw(arrays(np.int16, dims, elements=st.integers(-1500, 600)))
+    labels = draw(arrays(np.uint8, n, elements=st.sampled_from([0, 0, 0, 1, 2])))
+    if draw(st.booleans()):
+        labels[labels == 2] = 0
+    right_at = draw(st.integers(0, n - 1))
+    left_at = draw(st.integers(0, n - 2))
+    left_at += left_at >= right_at
+    labels[right_at], labels[left_at] = 1, 2
+    lo = draw(st.integers(-1200, 100))
+    hi = lo + draw(st.integers(1, 1500))
+    return Volume(hu), split_left_right(Volume(labels.reshape(dims))), lo, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=small_cases(), method=st.sampled_from(["mip", "aip"]), unsegmented=st.booleans())
+def test_project_case_equals_reference_on_random_grids(case, method, unsegmented):
+    ct, pair, lo, hi = case
+    got = project_case(ct, pair, method=method, canvas=(12, 12), unsegmented=unsegmented, hu_lo=lo, hu_hi=hi)
+    assert_same_bytes(got, reference_project_case(ct, pair, method, (12, 12), unsegmented, lo, hi))
+
+
+def ellipsoid_lungs(dims):
+    """CT of -850 HU lungs in 40 HU tissue, and the labeled pair of two ellipsoids."""
+    z, y, x = np.ogrid[: dims[0], : dims[1], : dims[2]]
+    ez = ((z - dims[0] / 2) / (0.4 * dims[0])) ** 2
+    ey = ((y - dims[1] / 2) / (0.3 * dims[1])) ** 2
+    right = ez + ey + ((x - 0.3 * dims[2]) / (0.15 * dims[2])) ** 2 <= 1.0
+    left = ez + ey + ((x - 0.7 * dims[2]) / (0.15 * dims[2])) ** 2 <= 1.0
+    ct = np.where(right | left, np.int16(-850), np.int16(40))
+    labels = right.astype(np.uint8) + 2 * left.astype(np.uint8)
+    return Volume(ct), split_left_right(Volume(labels))
+
+
+@pytest.mark.parametrize("method", ["mip", "aip"])
+def test_project_case_peak_memory_per_voxel(method):
+    # windowing whole-grid float64 and float32 copies per side peaked at 26 B/voxel
+    ct, pair = ellipsoid_lungs((96, 160, 160))
+    tracemalloc.start()
+    try:
+        project_case(ct, pair, method=method, canvas=(64, 64))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / math.prod(ct.dims) <= 6.0

@@ -7,6 +7,7 @@ from mvpad import (
     AnomalySpec,
     ComponentSplitError,
     EmptyMaskError,
+    InvalidArgumentError,
     PhantomConfig,
     Volume,
     dice,
@@ -28,6 +29,32 @@ class TestSplitLeftRight:
         np.testing.assert_array_equal(pair.right.voxels, (vox == 1).astype(np.uint8))
         np.testing.assert_array_equal(pair.left.voxels, (vox == 2).astype(np.uint8))
         np.testing.assert_array_equal(pair.labeled().voxels, vox)
+
+    def test_labeled_split_is_a_read_only_view_of_the_comparison(self):
+        rng = np.random.default_rng(3)
+        vox = rng.choice(np.array([0, 1, 2], dtype=np.uint8), size=(6, 7, 8))
+        pair = split_left_right(Volume(vox))
+        for k, side in ((1, pair.right), (2, pair.left)):
+            got = side.voxels
+            assert got.dtype == np.uint8 and got.tobytes() == (vox == k).astype(np.uint8).tobytes()
+            assert not got.flags.writeable
+            # Volume kept the uint8 view of the bool comparison instead of copying it
+            assert not got.flags.owndata and got.base.dtype == np.bool_
+
+    def test_int16_labels_split_like_uint8(self):
+        vox = np.zeros((4, 4, 8), dtype=np.uint8)
+        vox[1:3, 1:3, 1:3] = 1
+        vox[1:3, 1:3, 5:7] = 2
+        pair = split_left_right(Volume(vox.astype(np.int16)))
+        np.testing.assert_array_equal(pair.labeled().voxels, vox)
+
+    @pytest.mark.parametrize("bad", [np.int16(3), np.int16(-1), np.float32(0.5)])
+    def test_non_uint8_mask_with_unexpected_labels_raises(self, bad):
+        vox = np.zeros((4, 4, 8), dtype=bad.dtype)
+        vox[1, 1, 1] = 1
+        vox[2, 2, 6] = bad
+        with pytest.raises(ComponentSplitError):
+            split_left_right(Volume(vox))
 
     def test_binary_input_right_lung_is_lower_x(self):
         vox = np.zeros((20, 20, 80), dtype=np.uint8)
@@ -94,7 +121,7 @@ class TestThresholdSegmenter:
         assert np.all(seg.voxels[gt.voxels > 0] > 0)
 
     def test_rejects_float_volume(self):
-        with pytest.raises(EmptyMaskError):
+        with pytest.raises(InvalidArgumentError):
             threshold_segment_phantom(Volume(np.zeros(SMALL, dtype=np.float32)))
 
 
