@@ -4,6 +4,10 @@
 # Everything is seeded; re-running reproduces identical output bytes.
 set -eu
 
+# from a checkout without an installed console script, run the package in src/
+src_dir="$(cd "$(dirname "$0")/../src" && pwd)"
+command -v mvpad >/dev/null 2>&1 || mvpad() { PYTHONPATH="$src_dir${PYTHONPATH:+:$PYTHONPATH}" python3 -m mvpad "$@"; }
+
 WORK="$(mktemp -d /tmp/mvpad_cli_demo.XXXXXX)"
 echo "working in $WORK"
 cd "$WORK"

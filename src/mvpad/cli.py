@@ -4,6 +4,11 @@ Subcommands: phantom | project | bank build | score | localize | eval |
 segment-eval. Every subcommand is a pure function of (config, input files);
 outputs are byte-stable across reruns and across --jobs settings. Errors
 exit with the code of their class; 0 is success.
+
+Each subcommand accepts only the flags it reads. ``project``, ``bank build``,
+``localize`` and ``segment-eval`` load each case inside the job that works on
+it, so they hold at most ``--jobs`` cases at a time; ``score`` loads its
+manifests whole.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import pipeline
 from .config import RunConfig
-from .errors import InsufficientDataError, InvalidArgumentError, MvpadError
+from .errors import ExtractorMismatchError, InsufficientDataError, InvalidArgumentError, MvpadError
 from .evaluation import fold_metrics, roc_auc, summarize_folds
 from .memory_bank import bank_filename, load_bank, save_bank
 from .phantom import generate_dataset
@@ -35,18 +41,13 @@ from .pipeline import (
 )
 from .projection import ProjectionType
 from .segmentation import dice, iou, threshold_segment_phantom
-from .volume import Volume, save_volume
+from .volume import Volume, read_manifest, save_volume
 
 SCORES_HEADER = ["case_id", "score", "label"]
 
 
 def _load_config(args) -> RunConfig:
-    cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = cfg.with_overrides(seed=args.seed)
-    if getattr(args, "unsegmented", False):
-        cfg = cfg.with_overrides(unsegmented=True)
-    return cfg
+    return RunConfig.from_json(args.config) if args.config else RunConfig()
 
 
 def _write_json(data: dict, out_path: str | None) -> None:
@@ -58,13 +59,29 @@ def _write_json(data: dict, out_path: str | None) -> None:
 
 
 def _load_banks(banks_dir, cfg: RunConfig) -> dict[ProjectionType, object]:
+    """The configured projections' banks, checked against ``cfg`` before any case is loaded."""
     banks = {}
     for ptype in cfg.ptypes:
         path = Path(banks_dir) / bank_filename(ptype)
         if not path.is_file():
             raise InvalidArgumentError(f"missing bank file {path}")
-        banks[ptype] = load_bank(path)
+        bank = load_bank(path)
+        if bank.ptype != ptype:
+            raise ExtractorMismatchError(f"{path}: holds the {bank.ptype.value} bank")
+        if bank.extractor_hash != cfg.extractor.extractor_hash:
+            raise ExtractorMismatchError(
+                f"{path}: built with extractor {bank.extractor_hash}, "
+                f"the config's is {cfg.extractor.extractor_hash}"
+            )
+        banks[ptype] = bank
     return banks
+
+
+def _map_cases(fn, records, manifest_path, jobs: int) -> list:
+    """``fn(case)`` for each record's case, in record order; each job loads its own case."""
+    base = Path(manifest_path).parent
+    # called through the module, so that wrappers installed on pipeline.load_case see it
+    return parallel_map(lambda record: fn(pipeline.load_case(record, base)), records, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +90,7 @@ def _load_banks(banks_dir, cfg: RunConfig) -> dict[ProjectionType, object]:
 
 def _cmd_phantom(args) -> int:
     cfg = _load_config(args)
+    seed = cfg.seed if args.seed is None else args.seed
     try:
         dims = tuple(int(d) for d in args.dims.split(",")) if args.dims else (64, 96, 96)
     except ValueError:
@@ -82,7 +100,7 @@ def _cmd_phantom(args) -> int:
     manifest = generate_dataset(
         n_normal=args.normal,
         n_abnormal=args.abnormal,
-        seed=cfg.seed,
+        seed=seed,
         out_dir=args.out,
         dims=dims,
         vessel_count=args.vessels,
@@ -93,12 +111,11 @@ def _cmd_phantom(args) -> int:
 
 def _cmd_project(args) -> int:
     cfg = _load_config(args)
-    cases, records = load_manifest_cases(args.manifest)
+    records = read_manifest(args.manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_one(record) -> None:
-        case = cases[record.case_id]
+    def run_one(case) -> None:
         sidecar = {"case_id": case.case_id, "method": cfg.method, "projections": {}}
         for ptype, (img, mask) in case_projections(case, cfg).items():
             img_vol = Volume(img.pixels[None, :, :], (1.0, 1.0, 1.0))
@@ -110,18 +127,18 @@ def _cmd_project(args) -> int:
             json.dump(sidecar, fh, indent=2)
             fh.write("\n")
 
-    parallel_map(run_one, records, args.jobs)
+    _map_cases(run_one, records, args.manifest, args.jobs)
     return 0
 
 
 def _cmd_bank_build(args) -> int:
     cfg = _load_config(args)
-    cases, records = load_manifest_cases(args.manifest)
+    records = read_manifest(args.manifest)
     bad = [r.case_id for r in records if r.label != "normal"]
     if bad:
         raise InvalidArgumentError(f"bank training manifest must be all-normal; abnormal: {bad}")
-    feats = parallel_map(
-        lambda r: compute_case_features(cases[r.case_id], cfg), records, args.jobs
+    feats = _map_cases(
+        lambda case: compute_case_features(case, cfg), records, args.manifest, args.jobs
     )
     banks = build_banks(feats, cfg)
     out_dir = Path(args.out)
@@ -137,6 +154,9 @@ def _cmd_bank_build(args) -> int:
 def _cmd_score(args) -> int:
     cfg = _load_config(args)
     banks = _load_banks(args.banks, cfg)
+    # Both manifests are loaded whole: perfbench/workloads._Marks reads calibrate_s
+    # and the per-case latency from the return times of this module's
+    # load_manifest_cases, calibrate_from_cases and patient_score.
     cal_cases, cal_records = load_manifest_cases(args.cal_manifest)
     bad = [r.case_id for r in cal_records if r.label != "normal"]
     if bad:
@@ -167,12 +187,11 @@ def _cmd_score(args) -> int:
 def _cmd_localize(args) -> int:
     cfg = _load_config(args)
     banks = _load_banks(args.banks, cfg)
-    cases, records = load_manifest_cases(args.manifest)
+    records = read_manifest(args.manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_one(record) -> None:
-        case = cases[record.case_id]
+    def run_one(case) -> None:
         feats = compute_case_features(case, cfg)
         result = localize_case(case, feats, banks, cfg)
         fused = result.fused
@@ -193,7 +212,7 @@ def _cmd_localize(args) -> int:
             json.dump(report, fh, indent=2)
             fh.write("\n")
 
-    parallel_map(run_one, records, args.jobs)
+    _map_cases(run_one, records, args.manifest, args.jobs)
     return 0
 
 
@@ -236,12 +255,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_segment_eval(args) -> int:
-    cases, records = load_manifest_cases(args.manifest)
+    records = read_manifest(args.manifest)
     if not records:
         raise InsufficientDataError(f"{args.manifest}: no cases to evaluate")
 
-    def eval_one(record) -> dict:
-        case = cases[record.case_id]
+    def eval_one(case) -> dict:
         auto = threshold_segment_phantom(case.ct)
         ref = case.lungs.labeled().voxels
         auto_vox = auto.voxels
@@ -252,7 +270,7 @@ def _cmd_segment_eval(args) -> int:
         entry["dice_left"] = dice(auto_vox == 2, ref == 2)
         return entry
 
-    rows = parallel_map(eval_one, records, args.jobs)
+    rows = _map_cases(eval_one, records, args.manifest, args.jobs)
     report = {
         "cases": rows,
         "mean_dice": float(np.mean([r["dice"] for r in rows])),
@@ -266,10 +284,11 @@ def _cmd_segment_eval(args) -> int:
 # Parser
 
 
-def _add_common(parser: argparse.ArgumentParser, out_required: bool = True) -> None:
-    parser.add_argument("--config", help="run-config JSON path")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
+def _add_common(parser: argparse.ArgumentParser, config=True, jobs=True, out_required=True) -> None:
+    if config:
+        parser.add_argument("--config", help="run-config JSON path")
+    if jobs:
+        parser.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
     parser.add_argument("--out", required=out_required, help="output path")
 
 
@@ -281,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="generate a synthetic chest phantom dataset")
-    _add_common(p)
+    _add_common(p, jobs=False)
+    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--normal", type=int, required=True, help="number of normal cases")
     p.add_argument("--abnormal", type=int, required=True, help="number of abnormal cases")
     p.add_argument("--dims", help="volume dims as Z,Y,X (default 64,96,96)")
@@ -291,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="write per-case projected images, masks and sidecars")
     _add_common(p)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--unsegmented", action="store_true", help="skip lung masking")
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("bank", help="memory bank commands")
@@ -299,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb = bank_sub.add_parser("build", help="build per-projection banks from normal cases")
     _add_common(pb)
     pb.add_argument("--manifest", required=True)
-    pb.add_argument("--unsegmented", action="store_true", help="skip lung masking")
     pb.set_defaults(func=_cmd_bank_build)
 
     p = sub.add_parser("score", help="score cases against banks, write a scores CSV")
@@ -307,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="cases to score")
     p.add_argument("--banks", required=True, help="bank directory")
     p.add_argument("--cal-manifest", required=True, help="held-out normal cases for calibration")
-    p.add_argument("--unsegmented", action="store_true", help="skip lung masking")
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("localize", help="fused 3D anomaly volumes and binarized masks")
@@ -318,13 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_localize)
 
     p = sub.add_parser("eval", help="metrics JSON + ROC CSV from scores CSVs (one per fold)")
-    _add_common(p, out_required=False)
+    _add_common(p, config=False, jobs=False, out_required=False)
     p.add_argument("--scores", nargs="+", required=True, help="scores CSV paths, one per fold")
     p.add_argument("--roc-out", help="write ROC points CSV here")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("segment-eval", help="Dice/IoU of threshold segmentation vs stored masks")
-    _add_common(p, out_required=False)
+    _add_common(p, config=False, out_required=False)
     p.add_argument("--manifest", required=True)
     p.set_defaults(func=_cmd_segment_eval)
 

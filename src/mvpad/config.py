@@ -42,10 +42,12 @@ class RunConfig:
     unsegmented: bool = False
 
     def __post_init__(self):
-        if not all(isinstance(v, int) and -(2**15) <= v < 2**15 for v in (self.hu_lo, self.hu_hi)):
+        if not all(is_int(v) and -(2**15) <= v < 2**15 for v in (self.hu_lo, self.hu_hi)):
             raise InvalidArgumentError(
                 f"hu_lo, hu_hi must be int16 HU values, got {self.hu_lo!r}, {self.hu_hi!r}"
             )
+        object.__setattr__(self, "hu_lo", int(self.hu_lo))
+        object.__setattr__(self, "hu_hi", int(self.hu_hi))
         if self.hu_lo >= self.hu_hi:
             raise InvalidArgumentError(f"hu_lo {self.hu_lo} must be < hu_hi {self.hu_hi}")
         if self.method not in ("mip", "aip"):
@@ -76,8 +78,9 @@ class RunConfig:
             raise InvalidArgumentError(
                 f"localization_pct must be in [0,100), got {self.localization_pct}"
             )
-        if not isinstance(self.seed, int):
+        if not is_int(self.seed):
             raise InvalidArgumentError(f"seed must be an int, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if not isinstance(self.unsegmented, bool):
             raise InvalidArgumentError(f"unsegmented must be true or false, got {self.unsegmented!r}")
 

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .features import FeatureGrid
 from .projection import ProjectionType, bilinear_sample
-from .volume import freeze_array, read_container, write_container
+from .volume import freeze_array, is_int, is_real, read_container, write_container
 
 DEFAULT_CORESET_FRAC = 0.10
 DEFAULT_SMOOTHING_SIGMA = 4.0
@@ -365,12 +365,15 @@ def _mbnk_layout(header: dict) -> tuple:
         ptype = ProjectionType.from_string(header["projection"])
     except InvalidArgumentError as exc:
         raise HeaderFormatError(str(exc)) from exc
-    fields = (
-        ptype,
-        str(header["extractor_hash"]),
-        float(header["coreset_frac"]),
-    )
-    return fields, np.dtype("<f4"), (int(header["count"]), int(header["feature_dim"]))
+    shape = (header["count"], header["feature_dim"])
+    if not all(is_int(n) for n in shape):
+        raise HeaderFormatError(f"count and feature_dim must be ints, got {list(shape)}")
+    extractor_hash, coreset_frac = header["extractor_hash"], header["coreset_frac"]
+    if not isinstance(extractor_hash, str):
+        raise HeaderFormatError(f"extractor_hash must be a string, got {extractor_hash!r}")
+    if not is_real(coreset_frac):
+        raise HeaderFormatError(f"coreset_frac must be a number, got {coreset_frac!r}")
+    return (ptype, extractor_hash, float(coreset_frac)), np.dtype("<f4"), shape
 
 
 def load_bank(path) -> MemoryBank:

@@ -56,6 +56,11 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """A real number, integers and NaN included; bool is not one here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def freeze_array(arr, dtype) -> np.ndarray:
     """C-contiguous, read-only version of ``arr``, cast to ``dtype`` unless it is None.
 
@@ -186,14 +191,16 @@ def save_volume(vol: Volume, path) -> None:
 
 
 def _mvol_layout(header: dict) -> tuple:
-    dims = tuple(int(d) for d in header["dims"])
-    if len(dims) != 3:
-        raise HeaderFormatError(f"dims must be 3 positive ints, got {list(dims)}")
+    dims = header["dims"]
+    if not isinstance(dims, list) or len(dims) != 3 or not all(is_int(d) for d in dims):
+        raise HeaderFormatError(f"dims must be 3 positive ints, got {dims!r}")
     code = header["dtype"]
     if not isinstance(code, str) or code not in DTYPE_CODES:
         raise UnknownDtypeError(f"unknown dtype code {code!r}")
-    spacing = tuple(float(s) for s in header["spacing_mm"])
-    return spacing, DTYPE_CODES[code], dims
+    spacing = header["spacing_mm"]
+    if not isinstance(spacing, list) or not all(is_real(s) for s in spacing):
+        raise HeaderFormatError(f"spacing_mm must be a list of numbers, got {spacing!r}")
+    return tuple(float(s) for s in spacing), DTYPE_CODES[code], tuple(dims)
 
 
 def load_volume(path) -> Volume:

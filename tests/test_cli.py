@@ -2,17 +2,31 @@
 project/localize/segment-eval, byte-stability across reruns and --jobs, and
 the per-error-class exit codes."""
 
+import argparse
 import csv
 import json
+import shlex
+import shutil
 import subprocess
 import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mvpad.pipeline
-from mvpad import RunConfig, load_manifest_cases, load_volume, project_case, read_manifest
-from mvpad.cli import main
+from mvpad import (
+    MANIFEST_HEADER,
+    RunConfig,
+    load_manifest_cases,
+    load_volume,
+    project_case,
+    read_manifest,
+)
+from mvpad.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 DIMS = (64, 96, 96)
 CANVAS = (64, 64)
@@ -165,6 +179,28 @@ class TestScoreCommand:
         assert run("score", "--manifest", workspace["test"], "--banks", workspace["banks"],
                    "--cal-manifest", workspace["cal"], "--config", other,
                    "--out", tmp_path / "s.csv") == 10
+
+    def test_bank_mismatch_exits_before_loading_cases(self, workspace, tmp_path):
+        """The banks are checked against the config before any case is read."""
+        cal = tmp_path / "cal.csv"
+        cal.write_text(",".join(MANIFEST_HEADER) + "\n"
+                       "c0,absent_ct.mvol,absent_mask.mvol,normal,\n"
+                       "c1,absent_ct.mvol,absent_mask.mvol,normal,\n")
+        cfg = RunConfig(canvas=CANVAS).to_dict()
+        cfg["extractor"] = {"patch_size": 7, "stride": 4, "scales": [1, 2]}
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(cfg))
+        swapped = tmp_path / "banks"
+        shutil.copytree(workspace["banks"], swapped)
+        shutil.copy(swapped / "bank_left_axial.mbnk", swapped / "bank_right_axial.mbnk")
+
+        def score(banks, config) -> int:
+            return run("score", "--manifest", cal, "--banks", banks, "--cal-manifest", cal,
+                       "--config", config, "--out", tmp_path / "s.csv")
+
+        assert score(workspace["banks"], workspace["config"]) == 3  # the missing volumes
+        assert score(workspace["banks"], other) == 10
+        assert score(swapped, workspace["config"]) == 10
 
     def test_missing_bank_dir(self, workspace, tmp_path):
         assert run("score", "--manifest", workspace["test"], "--banks", tmp_path,
@@ -341,6 +377,126 @@ class TestSegmentEvalCommand:
         # threshold segmentation should nearly reproduce the stored masks
         assert report["mean_dice"] >= 0.95
         assert report["mean_iou"] <= report["mean_dice"]
+
+
+class TestOneCasePerJob:
+    """Commands other than score load each case inside the job that uses it."""
+
+    @pytest.fixture
+    def others_alive(self, monkeypatch):
+        """At each volume read, how many loaded cases are still alive."""
+        cases, counts = [], []
+        load_case, load_volume = mvpad.pipeline.load_case, mvpad.pipeline.load_volume
+
+        def tracked_load_case(record, base_dir):
+            case = load_case(record, base_dir)
+            cases.append(weakref.ref(case))
+            return case
+
+        def counted_load_volume(path):
+            counts.append(sum(ref() is not None for ref in cases))
+            return load_volume(path)
+
+        monkeypatch.setattr(mvpad.pipeline, "load_case", tracked_load_case)
+        monkeypatch.setattr(mvpad.pipeline, "load_volume", counted_load_volume)
+        return counts
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("command", ["localize", "project", "bank build", "segment-eval"])
+    def test_other_cases_alive_while_reading_one(self, workspace, tmp_path, others_alive,
+                                                 command, jobs):
+        manifest = workspace["train"] if command == "bank build" else workspace["test"]
+        argv = [*command.split(), "--manifest", manifest, "--out", tmp_path / "out", "--jobs", jobs]
+        if command != "segment-eval":
+            argv += ["--config", workspace["config"]]
+        if command == "localize":
+            argv += ["--banks", workspace["banks"]]
+        assert run(*argv) == 0
+        n_cases = len(read_manifest(manifest))
+        assert n_cases >= 3 and len(others_alive) >= 2 * n_cases
+        assert max(others_alive) <= jobs - 1
+
+
+def subcommand_flags(parser, prefix=()) -> dict[str, set[str]]:
+    """Settable long options of each leaf subcommand, keyed by its command words."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        return {" ".join(prefix): {o for a in parser._actions for o in a.option_strings
+                                   if o.startswith("--") and o != "--help"}}
+    out = {}
+    for name, child in subparsers[0].choices.items():
+        out.update(subcommand_flags(child, (*prefix, name)))
+    return out
+
+
+def documented_command_lines(text: str) -> list[list[str]]:
+    """The argv of each ``mvpad ...`` line, with backslash continuations joined."""
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.strip().startswith("mvpad ")]
+
+
+class TestFlags:
+    EXPECTED = {
+        "phantom": {"--config", "--seed", "--out", "--normal", "--abnormal", "--dims", "--vessels"},
+        "project": {"--config", "--jobs", "--out", "--manifest"},
+        "bank build": {"--config", "--jobs", "--out", "--manifest"},
+        "score": {"--config", "--jobs", "--out", "--manifest", "--banks", "--cal-manifest"},
+        "localize": {"--config", "--jobs", "--out", "--manifest", "--banks", "--no-binarized"},
+        "eval": {"--out", "--scores", "--roc-out"},
+        "segment-eval": {"--jobs", "--out", "--manifest"},
+    }
+    BASE = {
+        "phantom": ["phantom", "--normal", "1", "--abnormal", "0", "--out", "d"],
+        "project": ["project", "--manifest", "m.csv", "--out", "p"],
+        "bank build": ["bank", "build", "--manifest", "m.csv", "--out", "b"],
+        "score": ["score", "--manifest", "m.csv", "--banks", "b", "--cal-manifest", "c.csv",
+                  "--out", "s.csv"],
+        "localize": ["localize", "--manifest", "m.csv", "--banks", "b", "--out", "loc"],
+        "eval": ["eval", "--scores", "s.csv"],
+        "segment-eval": ["segment-eval", "--manifest", "m.csv"],
+    }
+    REMOVED = [
+        ("phantom", ["--jobs", "2"]),
+        ("project", ["--seed", "5"]),
+        ("project", ["--unsegmented"]),
+        ("bank build", ["--seed", "5"]),
+        ("bank build", ["--unsegmented"]),
+        ("score", ["--seed", "5"]),
+        ("score", ["--unsegmented"]),
+        ("localize", ["--seed", "5"]),
+        ("eval", ["--config", "/nonexistent.json"]),
+        ("eval", ["--seed", "5"]),
+        ("eval", ["--jobs", "7"]),
+        ("segment-eval", ["--config", "/nonexistent.json"]),
+        ("segment-eval", ["--seed", "5"]),
+    ]
+
+    def test_each_subcommand_accepts_only_the_flags_it_reads(self):
+        flags = subcommand_flags(build_parser())
+        assert flags == self.EXPECTED
+        assert sum(len(f) for f in flags.values()) == 33
+
+    @pytest.mark.parametrize("command, extra", REMOVED, ids=[f"{c} {e[0]}" for c, e in REMOVED])
+    def test_removed_flag_is_a_usage_error(self, command, extra, capsys):
+        build_parser().parse_args(self.BASE[command])
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(self.BASE[command] + extra)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", ["README.md", "demos/05_cli_walkthrough.sh"])
+    def test_documented_command_lines_parse(self, path):
+        text = (ROOT / path).read_text(encoding="utf-8")
+        if path == "README.md":
+            text = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        commands = documented_command_lines(text)
+        assert len(commands) >= 6
+        for argv in commands:
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{path}: mvpad {shlex.join(argv)} does not parse")
 
 
 class TestEntryPoints:

@@ -107,6 +107,54 @@ class TestContainerHeaders:
         with pytest.raises(InvalidArgumentError):
             Volume(np.zeros((1, 1, 1), dtype=np.int16), (bad, 1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "fields, nbytes",
+        [
+            ({"dims": [1.5, 2, 2]}, 8),
+            ({"dims": ["2", "2", "2"]}, 16),
+            ({"dims": [True, 2, 2]}, 8),
+            ({"dims": [1, 1, 2.0]}, 4),
+            ({"dims": "112"}, 4),
+            ({"spacing_mm": ["1", 1, True]}, 4),
+            ({"spacing_mm": "111"}, 4),
+        ],
+        ids=lambda v: json.dumps(v),
+    )
+    def test_volume_rejects_mistyped_header_fields(self, tmp_path, fields, nbytes):
+        """The payload has the size the coerced header would announce."""
+        header = {"magic": "MVOL1", "dims": [1, 1, 2], "spacing_mm": [1.0, 1.0, 1.0], "dtype": "i16"}
+        path = tmp_path / "v.mvol"
+        path.write_bytes(container({**header, **fields}, b"\x00" * nbytes))
+        with pytest.raises(HeaderFormatError):
+            load_volume(path)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"count": 1.9},
+            {"count": "1"},
+            {"count": True},
+            {"feature_dim": 2.0},
+            {"coreset_frac": "0.1"},
+            {"coreset_frac": True},
+            {"extractor_hash": 5},
+            {"extractor_hash": None},
+        ],
+        ids=lambda v: json.dumps(v),
+    )
+    def test_bank_rejects_mistyped_header_fields(self, tmp_path, fields):
+        path = tmp_path / "b.mbnk"
+        path.write_bytes(mbnk(**fields))
+        with pytest.raises(HeaderFormatError):
+            load_bank(path)
+
+    def test_cli_project_exits_4_on_string_dims(self, tmp_path, capsys):
+        (tmp_path / "ct.mvol").write_bytes(mvol(dims=["1", "1", "2"]))
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(",".join(MANIFEST_HEADER) + "\nc0,ct.mvol,ct.mvol,normal,\n")
+        rc = run_cli(capsys, "project", "--manifest", manifest, "--out", tmp_path / "proj")
+        assert rc == HeaderFormatError.exit_code == 4
+
     def test_volume_rejects_nan_unit_voxels(self):
         with pytest.raises(InvalidArgumentError):
             Volume(np.full((1, 1, 1), np.nan, dtype=np.float32))
@@ -194,6 +242,9 @@ class TestConfigScoresManifest:
             {"extractor": {"scales": [1.0, 2]}},
             {"extractor": {"scales": [True]}},
             {"extractor": {"scales": ["1"]}},
+            {"hu_hi": True},
+            {"hu_lo": False, "hu_hi": True},
+            {"seed": True},
         ],
         ids=lambda data: json.dumps(data),
     )
@@ -207,6 +258,12 @@ class TestConfigScoresManifest:
         assert RunConfig.from_dict({"canvas": [64, 64], "extractor": {"scales": [1]}}) == RunConfig(
             canvas=(64, 64), extractor=ExtractorConfig(scales=(1,))
         )
+
+    def test_integer_fields_are_stored_as_int(self):
+        cfg = RunConfig(hu_lo=np.int16(-900), hu_hi=np.int64(100), seed=np.int32(4))
+        assert (cfg.hu_lo, cfg.hu_hi, cfg.seed) == (-900, 100, 4)
+        assert all(type(v) is int for v in (cfg.hu_lo, cfg.hu_hi, cfg.seed))
+        assert cfg == RunConfig(hu_lo=-900, hu_hi=100, seed=4)
 
     def test_cli_coerced_config_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -276,7 +333,9 @@ class TestConfigScoresManifest:
         banks = tmp_path / "banks"
         banks.mkdir()
         for ptype in ProjectionType:
-            (banks / bank_filename(ptype)).write_bytes(mbnk(projection=ptype.value))
+            (banks / bank_filename(ptype)).write_bytes(
+                mbnk(projection=ptype.value, extractor_hash=RunConfig().extractor.extractor_hash)
+            )
         out = tmp_path / "scores.csv"
         rc = run_cli(capsys, "score", "--manifest", manifest, "--cal-manifest", manifest,
                      "--banks", banks, "--out", out)
