@@ -50,8 +50,19 @@ def _load_config(args) -> RunConfig:
     return RunConfig.from_json(args.config) if args.config else RunConfig()
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_json(data: dict, out_path: str | None) -> None:
-    text = json.dumps(data, indent=2)
+    text = json.dumps(_finite_or_null(data), indent=2, allow_nan=False)
     if out_path:
         Path(out_path).write_text(text + "\n", encoding="utf-8")
     else:
@@ -284,11 +295,21 @@ def _cmd_segment_eval(args) -> int:
 # Parser
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, config=True, jobs=True, out_required=True) -> None:
     if config:
         parser.add_argument("--config", help="run-config JSON path")
     if jobs:
-        parser.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
+        parser.add_argument("--jobs", type=_positive_int, default=1, help="worker threads (default 1)")
     parser.add_argument("--out", required=out_required, help="output path")
 
 

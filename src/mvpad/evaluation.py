@@ -312,13 +312,16 @@ def fold_metrics(pairs: Sequence[tuple[float, str]]) -> dict[str, float | None]:
 
 
 def summarize_folds(per_fold: Sequence[Mapping[str, float | None]]) -> dict:
-    """Mean and population std per metric across folds, None-aware."""
+    """Mean and population std per metric across folds.
+
+    A missing (None) or non-finite value, such as the infinite threshold of a
+    fold whose scores all tie, is skipped; a metric with no value left is None."""
     if not per_fold:
         raise InvalidArgumentError("no folds to summarize")
     summary: dict = {}
     stds: dict[str, float | None] = {}
     for name in METRIC_NAMES:
-        values = [m[name] for m in per_fold if m.get(name) is not None]
+        values = [m[name] for m in per_fold if m.get(name) is not None and math.isfinite(m[name])]
         if values:
             summary[name] = float(np.mean(values))
             stds[name] = float(np.std(values))

@@ -151,29 +151,27 @@ def _upsample_to(resp: np.ndarray, s: int, shape: tuple[int, int]) -> np.ndarray
 
 
 def _window_stats(resp: np.ndarray, cfg: ExtractorConfig):
-    """Mean and population std of every patch window, via integral images."""
-    h, w = resp.shape
-    p = cfg.patch_size
-    gh, gw = grid_dims((h, w), cfg)
-    i1 = np.zeros((h + 1, w + 1), dtype=np.float64)
-    i2 = np.zeros((h + 1, w + 1), dtype=np.float64)
-    np.cumsum(np.cumsum(resp, axis=0), axis=1, out=i1[1:, 1:])
-    np.cumsum(np.cumsum(resp * resp, axis=0), axis=1, out=i2[1:, 1:])
-    r = np.arange(gh) * cfg.stride
-    c = np.arange(gw) * cfg.stride
-    rr, cc = np.meshgrid(r, c, indexing="ij")
+    """Mean and population std of every patch window, via direct strided sums.
 
-    def window_sum(integral):
-        return (
-            integral[rr + p, cc + p]
-            - integral[rr, cc + p]
-            - integral[rr + p, cc]
-            + integral[rr, cc]
-        )
-
+    The response and its square are stacked as one (2, H, W) array. The p
+    stride-s column slices are added into one copy, then the p stride-s row
+    slices of that result, always in the same order, so every window sum is
+    built the same way on every run and thread. A window whose values and
+    squares sum exactly (all 0, or all 0.5) gets its exact mean and std 0."""
+    p, s = cfg.patch_size, cfg.stride
+    gh, gw = grid_dims(resp.shape, cfg)
+    both = np.stack((resp, resp * resp))
+    span_w = (gw - 1) * s + 1
+    cols = both[:, :, 0:span_w:s].copy()
+    for k in range(1, p):
+        cols += both[:, :, k : k + span_w : s]
+    span_h = (gh - 1) * s + 1
+    sums = cols[:, 0:span_h:s].copy()
+    for k in range(1, p):
+        sums += cols[:, k : k + span_h : s]
     area = float(p * p)
-    mean = window_sum(i1) / area
-    var = window_sum(i2) / area - mean * mean
+    mean = sums[0] / area
+    var = sums[1] / area - mean * mean
     std = np.sqrt(np.maximum(var, 0.0))
     return mean, std
 

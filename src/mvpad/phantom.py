@@ -112,19 +112,22 @@ def _lung_geometry(dims, rng) -> list[_Ellipsoid]:
     return lungs
 
 
-def _stamp_ball(values, inside_field, point, radius, hu, dims):
-    """Set voxels within `radius` of `point` (and inside the lung) to at
-    least `hu`. Operates on a small local box only."""
-    lo = np.maximum(np.floor(point - radius - 1).astype(int), 0)
-    hi = np.minimum(np.ceil(point + radius + 1).astype(int) + 1, dims)
-    if np.any(lo >= hi):
-        return
-    sl = tuple(slice(l, h) for l, h in zip(lo, hi))
-    zz, yy, xx = np.ogrid[sl[0], sl[1], sl[2]]
-    dist2 = (zz - point[0]) ** 2 + (yy - point[1]) ** 2 + (xx - point[2]) ** 2
-    hit = (dist2 <= radius * radius) & (inside_field[sl] <= 0.95)
-    region = values[sl]
-    region[hit] = np.maximum(region[hit], hu)
+def _stamp_balls(values, inside_field, points, radius, hu, dims):
+    """Set voxels within `radius` of any of `points` (and inside the lung) to
+    at least `hu`. Each ball is tested only on its local box
+    ``[floor(p - r - 1), ceil(p + r + 1) + 1)`` clipped to the grid; the boxes
+    are laid out at one fixed span from their unclipped origins."""
+    span = int(np.ceil(2 * radius)) + 5  # > ceil(p + r + 1) + 1 - floor(p - r - 1)
+    coords = np.floor(points - radius - 1).astype(int)[:, :, None] + np.arange(span)  # (n, axis, span)
+    hi = np.minimum(np.ceil(points + radius + 1).astype(int) + 1, dims)
+    in_box = (coords >= 0) & (coords < hi[:, :, None])
+    delta = np.where(in_box, coords - points[:, :, None], np.inf)  # out of the box: never within radius
+    dz, dy, dx = delta[:, 0, :, None, None], delta[:, 1, None, :, None], delta[:, 2, None, None, :]
+    n, a, b, c = np.nonzero(dz**2 + dy**2 + dx**2 <= radius * radius)
+    z, y, x = coords[n, 0, a], coords[n, 1, b], coords[n, 2, c]
+    hit = inside_field[z, y, x] <= 0.95
+    z, y, x = z[hit], y[hit], x[hit]
+    values[z, y, x] = np.maximum(values[z, y, x], hu)
 
 
 def _draw_vessels(values, lung: _Ellipsoid, field, n_vessels, rng, dims, mediastinal_sign):
@@ -146,8 +149,7 @@ def _draw_vessels(values, lung: _Ellipsoid, field, n_vessels, rng, dims, mediast
         hu = rng.uniform(-200.0, -40.0)
         t = np.linspace(0.0, 1.0, 48)[:, None]
         curve = (1 - t) ** 2 * start + 2 * t * (1 - t) * ctrl + t**2 * end
-        for point in curve:
-            _stamp_ball(values, field, point, radius, hu, dims)
+        _stamp_balls(values, field, curve, radius, hu, dims)
 
 
 def _generate_base(cfg: PhantomConfig):

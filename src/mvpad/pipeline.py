@@ -94,10 +94,9 @@ def case_projections(
     """The case's (image, mask) pair for each configured projection type."""
     pairs = project_case(
         case.ct, case.lungs, method=cfg.method, canvas=cfg.canvas, unsegmented=cfg.unsegmented,
-        hu_lo=cfg.hu_lo, hu_hi=cfg.hu_hi,
+        hu_lo=cfg.hu_lo, hu_hi=cfg.hu_hi, ptypes=cfg.ptypes,
     )
-    by_ptype = {img.ptype: (img, mask) for img, mask in pairs}
-    return {ptype: by_ptype[ptype] for ptype in cfg.ptypes}
+    return {img.ptype: (img, mask) for img, mask in pairs}
 
 
 @dataclass(frozen=True)

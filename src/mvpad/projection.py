@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -353,15 +354,15 @@ def _lung_box(lung: np.ndarray, side: str) -> tuple[slice, slice, slice]:
     return slice(zs[0], zs[-1] + 1), ys, xs
 
 
-def _planes(hu_box, fg_box, box, dims, method, hu_lo, hu_hi) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(float32 image, uint8 mask) plane per collapse axis 0, 1, 2.
+def _planes(hu_box, fg_box, box, dims, axes, method, hu_lo, hu_hi) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """(float32 image, uint8 mask) plane per collapse axis in ``axes``.
 
     ``hu_box`` is the masked int16 box (non-lung voxels already ``hu_lo``),
     ``fg_box`` its foreground, or None when the box is the whole unmasked grid.
     Planes are zero outside the box's footprint (see the module docstring)."""
     unit_box = window_unit(hu_box, hu_lo, hu_hi) if method == "aip" else None
-    planes = []
-    for axis in range(3):
+    planes = {}
+    for axis in axes:
         shape = tuple(d for a, d in enumerate(dims) if a != axis)
         footprint = tuple(s for a, s in enumerate(box) if a != axis)
         img = np.zeros(shape, dtype=np.float32)
@@ -374,7 +375,7 @@ def _planes(hu_box, fg_box, box, dims, method, hu_lo, hu_hi) -> list[tuple[np.nd
         else:
             mask = np.zeros(shape, dtype=np.uint8)
             mask[footprint] = fg_box.any(axis=axis)
-        planes.append((img, mask))
+        planes[axis] = (img, mask)
     return planes
 
 
@@ -387,13 +388,16 @@ def project_case(
     *,
     hu_lo=DEFAULT_HU_LO,
     hu_hi=DEFAULT_HU_HI,
+    ptypes: Sequence[ProjectionType] = ALL_PROJECTIONS,
 ) -> list[tuple[ProjectedImage, ProjectedMask]]:
-    """Project one case into the six canonical (image, mask) pairs.
+    """Project one case into an (image, mask) pair per entry of ``ptypes``.
 
-    The int16 CT is windowed to [hu_lo, hu_hi] HU before projection. With
-    ``unsegmented=True`` the lung masks are ignored (the no-segmentation
-    ablation): the whole truncated volume is projected and the "mask" is the
-    full plane, so the right/left pairs coincide.
+    ``ptypes`` defaults to all six, in canonical order; only the sides and
+    collapse axes they name are computed. The int16 CT is windowed to
+    [hu_lo, hu_hi] HU before projection. With ``unsegmented=True`` the lung
+    masks are ignored (the no-segmentation ablation): the whole truncated
+    volume is projected and the "mask" is the full plane, so the right/left
+    pairs coincide.
     """
     if method not in ("mip", "aip"):
         raise InvalidArgumentError(f"projection method must be mip|aip, got {method!r}")
@@ -402,17 +406,19 @@ def project_case(
         _check_lung_dims(ct, lung)
     require_hu(ct, "project_case")
     require_window(hu_lo, hu_hi, "project_case")
+    ptypes = tuple(ptypes)
     if unsegmented:
-        planes = _planes(ct.voxels, None, (slice(None),) * 3, ct.dims, method, hu_lo, hu_hi)
+        axes = sorted({ptype.axis for ptype in ptypes})
+        planes = _planes(ct.voxels, None, (slice(None),) * 3, ct.dims, axes, method, hu_lo, hu_hi)
         side_planes = {"right": planes, "left": planes}
     else:
         side_planes = {}
         for side, lung in lungs.items():
+            axes = sorted({ptype.axis for ptype in ptypes if ptype.side == side})
+            if not axes:
+                continue
             box = _lung_box(lung.voxels, side)
             fg = lung.voxels[box] > 0
             masked = np.where(fg, ct.voxels[box], np.int16(hu_lo))
-            side_planes[side] = _planes(masked, fg, box, ct.dims, method, hu_lo, hu_hi)
-    return [
-        crop_resize_to_canvas(*side_planes[ptype.side][ptype.axis], ptype, canvas)
-        for ptype in ALL_PROJECTIONS
-    ]
+            side_planes[side] = _planes(masked, fg, box, ct.dims, axes, method, hu_lo, hu_hi)
+    return [crop_resize_to_canvas(*side_planes[ptype.side][ptype.axis], ptype, canvas) for ptype in ptypes]

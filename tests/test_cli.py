@@ -9,6 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -356,6 +357,26 @@ class TestEvalCommand:
         assert len(metrics["folds"]) == 2
         assert metrics["std"]["auc"] == 0.0
 
+    def test_tied_scores_write_strict_json(self, tmp_path):
+        # every score ties: the fold's operating threshold is +inf
+        scores = tmp_path / "tied.csv"
+        labels = ["normal", "normal", "abnormal", "abnormal"]
+        rows = ["case_id,score,label"] + [f"c{i},0.0,{label}" for i, label in enumerate(labels)]
+        scores.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "metrics.json"
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("eval", "--scores", scores, scores, "--out", out) == 0
+        metrics = json.loads(out.read_text(), parse_constant=reject)
+        assert metrics["threshold"] is None
+        assert metrics["std"]["threshold"] is None
+        assert [fold["threshold"] for fold in metrics["folds"]] == [None, None]
+        assert metrics["auc"] == 0.5
+
     def test_rejects_malformed_scores_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,value\nx,1\n")
@@ -484,6 +505,17 @@ class TestFlags:
             build_parser().parse_args(self.BASE[command] + extra)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    JOBS_COMMANDS = ["project", "bank build", "score", "localize", "segment-eval"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", JOBS_COMMANDS)
+    def test_jobs_below_one_is_a_usage_error(self, command, jobs, capsys):
+        assert build_parser().parse_args(self.BASE[command] + ["--jobs", "1"]).jobs == 1
+        with pytest.raises(SystemExit) as exc:
+            main(self.BASE[command] + ["--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("path", ["README.md", "demos/05_cli_walkthrough.sh"])
     def test_documented_command_lines_parse(self, path):

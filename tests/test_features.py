@@ -1,5 +1,7 @@
 """Patch descriptor extraction: grid geometry, filter stats, shift behavior."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from mvpad import (
     extract_features,
     grid_dims,
 )
+from mvpad.features import _window_stats
 
 DEFAULT_HASH = "318941e69a7e88e7"
 
@@ -173,3 +176,48 @@ class TestExtraction:
         assert grid.extractor_hash == DEFAULT_HASH
         assert grid.feature_dim == 20
         assert grid.canvas == (16, 16)
+
+
+def window_grid(shape, cfg):
+    """Top-left corner (row, col) of every patch window, in grid order."""
+    gh, gw = grid_dims(shape, cfg)
+    return [[(i * cfg.stride, j * cfg.stride) for j in range(gw)] for i in range(gh)]
+
+
+class TestWindowStats:
+    """`_window_stats` against exact per-window arithmetic."""
+
+    def test_flat_windows_are_exact(self):
+        rng = np.random.default_rng(55)
+        img = np.zeros((72, 72))
+        img[:36] = rng.random((36, 72))
+        img[36:, 36:] = 0.5  # bottom-left block stays all 0
+        cfg = ExtractorConfig()
+        mean, std = _window_stats(img, cfg)
+        checked = {0.0: 0, 0.5: 0}
+        for i, row in enumerate(window_grid(img.shape, cfg)):
+            for j, (r, c) in enumerate(row):
+                if r >= 36 and (c + cfg.patch_size <= 36 or c >= 36):
+                    value = float(img[r, c])
+                    assert mean[i, j] == value
+                    assert std[i, j] == 0.0
+                    checked[value] += 1
+        assert checked[0.0] > 0 and checked[0.5] > 0
+
+    @pytest.mark.parametrize(
+        "patch_size, stride, shape", [(9, 4, (256, 256)), (5, 3, (128, 160)), (7, 1, (40, 37))]
+    )
+    def test_random_windows_match_two_pass_fsum(self, patch_size, stride, shape):
+        rng = np.random.default_rng(56)
+        img = rng.random(shape)
+        cfg = ExtractorConfig(patch_size=patch_size, stride=stride)
+        mean, std = _window_stats(img, cfg)
+        p = cfg.patch_size
+        for i, row in enumerate(window_grid(shape, cfg)):
+            for j, (r, c) in enumerate(row):
+                values = img[r : r + p, c : c + p].ravel().tolist()
+                mu = math.fsum(values) / len(values)
+                sigma = math.sqrt(math.fsum((x - mu) ** 2 for x in values) / len(values))
+                # 1e-14, not 1e-12: an integral image stays within 4e-13 here
+                assert abs(mean[i, j] - mu) <= 1e-14
+                assert abs(std[i, j] - sigma) <= 1e-14

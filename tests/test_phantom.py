@@ -14,6 +14,7 @@ from mvpad import (
     read_manifest,
     volumes_equal,
 )
+from mvpad import phantom
 
 SMALL = (32, 48, 48)
 
@@ -144,3 +145,52 @@ class TestDataset:
     def test_negative_counts_rejected(self, tmp_path):
         with pytest.raises(InvalidArgumentError):
             generate_dataset(-1, 0, seed=0, out_dir=tmp_path)
+
+
+def reference_stamp_ball(values, inside_field, point, radius, hu, dims):
+    """One ball at a time over its clipped local box: the straight-line
+    definition that `phantom._stamp_balls` vectorizes."""
+    lo = np.maximum(np.floor(point - radius - 1).astype(int), 0)
+    hi = np.minimum(np.ceil(point + radius + 1).astype(int) + 1, dims)
+    if np.any(lo >= hi):
+        return
+    sl = tuple(slice(l, h) for l, h in zip(lo, hi))
+    zz, yy, xx = np.ogrid[sl[0], sl[1], sl[2]]
+    dist2 = (zz - point[0]) ** 2 + (yy - point[1]) ** 2 + (xx - point[2]) ** 2
+    hit = (dist2 <= radius * radius) & (inside_field[sl] <= 0.95)
+    region = values[sl]
+    region[hit] = np.maximum(region[hit], hu)
+
+
+def reference_stamp_balls(values, inside_field, points, radius, hu, dims):
+    for point in points:
+        reference_stamp_ball(values, inside_field, point, radius, hu, dims)
+
+
+class TestVesselRaster:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_balls_match_per_ball_reference_with_edge_clipping(self, seed):
+        rng = np.random.default_rng(seed)
+        dims = (9, 12, 7)
+        field = rng.uniform(0.0, 1.2, size=dims)
+        base = rng.uniform(-1000.0, 0.0, size=dims)
+        # points inside, on and past every face, so boxes clip or miss the grid
+        points = rng.uniform(-3.0, np.array(dims) + 3.0, size=(48, 3))
+        radius = float(rng.uniform(0.9, 1.4))
+        hu = float(rng.uniform(-200.0, -40.0))
+        got, want = base.copy(), base.copy()
+        phantom._stamp_balls(got, field, points, radius, hu, dims)
+        reference_stamp_balls(want, field, points, radius, hu, dims)
+        assert got.tobytes() == want.tobytes()
+        assert not np.array_equal(got, base)
+
+    @pytest.mark.parametrize(
+        "dims, seed", [((32, 48, 48), 0), ((32, 48, 48), 7), ((48, 64, 64), 3), ((64, 96, 96), 1)]
+    )
+    def test_case_bytes_match_per_ball_reference(self, monkeypatch, dims, seed):
+        cfg = PhantomConfig(dims=dims, seed=seed, anomaly=AnomalySpec())
+        got = generate_case(cfg)
+        monkeypatch.setattr(phantom, "_stamp_balls", reference_stamp_balls)
+        want = generate_case(cfg)
+        for a, b in zip(got, want):
+            assert a.voxels.tobytes() == b.voxels.tobytes()

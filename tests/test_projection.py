@@ -16,6 +16,7 @@ from mvpad import (
     DimensionMismatchError,
     EmptyMaskError,
     InvalidArgumentError,
+    PROJECTION_SETS,
     LungPair,
     PhantomConfig,
     ProjectionGeometry,
@@ -463,6 +464,31 @@ class TestProjectCaseMatchesReference:
         args = (ct, pair, method, (64, 64), unsegmented, hu_lo, hu_hi)
         got = project_case(*args[:5], hu_lo=hu_lo, hu_hi=hu_hi)
         assert_same_bytes(got, reference_project_case(*args))
+
+    @pytest.mark.parametrize("unsegmented", [False, True], ids=["segmented", "unsegmented"])
+    @pytest.mark.parametrize("method", ["mip", "aip"])
+    @pytest.mark.parametrize(
+        "names",
+        [
+            *PROJECTION_SETS.values(),
+            ("left_axial",),
+            ("right_sagittal", "right_axial"),
+            ("left_coronal", "right_sagittal"),
+        ],
+        ids=[*PROJECTION_SETS, "left-axial", "right-only", "reordered"],
+    )
+    def test_subset_equals_entries_of_full_call(self, sized_phantom, names, method, unsegmented):
+        ct, pair = sized_phantom
+        ptypes = tuple(ProjectionType.from_string(name) for name in names)
+        kwargs = dict(method=method, canvas=(64, 64), unsegmented=unsegmented)
+        full = {img.ptype: (img, mask) for img, mask in project_case(ct, pair, **kwargs)}
+        got = project_case(ct, pair, **kwargs, ptypes=ptypes)
+        assert [img.ptype for img, _ in got] == list(ptypes)
+        for (gi, gm), ptype in zip(got, ptypes):
+            wi, wm = full[ptype]
+            assert gi.geometry == wi.geometry and gm.geometry == wm.geometry
+            assert gi.pixels.tobytes() == wi.pixels.tobytes()
+            assert gm.pixels.tobytes() == wm.pixels.tobytes()
 
     @pytest.mark.parametrize("method", ["mip", "aip"])
     def test_one_voxel_lungs_in_opposite_corners(self, method):
