@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .errors import InvalidArgumentError
 from .features import ExtractorConfig
 from .memory_bank import DEFAULT_CORESET_FRAC, DEFAULT_SMOOTHING_SIGMA
 from .projection import ALL_PROJECTIONS, DEFAULT_CANVAS, ProjectionType
 from .reconstruction import DEFAULT_BINARIZE_PCT, DEFAULT_PERCENTILE_Q
-from .volume import DEFAULT_HU_HI, DEFAULT_HU_LO, is_int
+from .volume import DEFAULT_HU_HI, DEFAULT_HU_LO, is_int, is_real
 
 # named projection subsets; each expands in canonical order
 PROJECTION_SETS = {
@@ -66,6 +66,9 @@ class RunConfig:
                 f"canvas {self.canvas!r} must be two ints >= patch size {self.extractor.patch_size}"
             )
         object.__setattr__(self, "canvas", tuple(int(c) for c in canvas))
+        for name in ("coreset_frac", "q", "smoothing_sigma", "localization_pct"):
+            if not is_real(getattr(self, name)):
+                raise InvalidArgumentError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0.0 < self.coreset_frac <= 1.0:
             raise InvalidArgumentError(f"coreset_frac must be in (0,1], got {self.coreset_frac}")
         if not 0.0 <= self.q < 100.0:
@@ -121,6 +124,3 @@ class RunConfig:
         except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
             raise InvalidArgumentError(f"{path}: config is not valid JSON ({exc})") from exc
         return cls.from_dict(data)
-
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        return replace(self, **kwargs)

@@ -23,7 +23,7 @@ LABEL_ABNORMAL = "abnormal"
 
 CALIBRATION_PERCENTILE = 99.0
 DEFAULT_FOLDS = 5
-DEFAULT_CAL_FRAC = 0.2
+CAL_FRAC = 0.2
 
 METRIC_NAMES = ("auc", "accuracy", "sensitivity", "specificity", "precision", "f1", "threshold")
 
@@ -259,12 +259,11 @@ def monte_carlo_splits(
     abnormal_ids: Sequence[str],
     folds: int = DEFAULT_FOLDS,
     seed: int = 0,
-    cal_frac: float = DEFAULT_CAL_FRAC,
 ) -> list[FoldSplit]:
     """Seeded random splits: normals into train/calibration/test, balanced test.
 
     Per fold the test takes min(#abnormal, #normal // 2) cases of each label;
-    of the remaining normals, cal_frac (at least 2 cases) calibrate and the
+    of the remaining normals, CAL_FRAC (at least 2 cases) calibrate and the
     rest train the banks. Fold f draws from default_rng([seed, f]) so folds
     are independent of each other and of how many folds run.
     """
@@ -279,7 +278,7 @@ def monte_carlo_splits(
             f"{len(abnormals)} abnormal cases"
         )
     n_rest = len(normals) - n_test
-    n_cal = max(2, int(round(cal_frac * n_rest)))
+    n_cal = max(2, int(round(CAL_FRAC * n_rest)))
     n_train = n_rest - n_cal
     if n_train < 1:
         raise InsufficientDataError(

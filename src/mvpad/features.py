@@ -73,8 +73,16 @@ class ExtractorConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExtractorConfig":
+        """Inverse of `to_dict`; ``filters`` and ``stats`` may only restate the fixed ones."""
         if not isinstance(d, dict):
             raise InvalidArgumentError(f"extractor config must be an object, got {type(d).__name__}")
+        fixed = {"filters": [name for name, _ in FILTER_BANK], "stats": list(STATS)}
+        unknown = set(d) - {"patch_size", "stride", "scales", *fixed}
+        if unknown:
+            raise InvalidArgumentError(f"unknown extractor keys: {sorted(unknown)}")
+        for key, value in fixed.items():
+            if key in d and d[key] != value:
+                raise InvalidArgumentError(f"extractor {key} must be {value}, got {d[key]!r}")
         kwargs = {key: d[key] for key in ("patch_size", "stride", "scales") if key in d}
         if "scales" in kwargs:
             if not isinstance(kwargs["scales"], list):

@@ -26,6 +26,8 @@ _AIR_HU = -1000.0
 _BODY_HU = 40.0
 _LUNG_HU = -850.0
 _LUNG_NOISE_SIGMA = 30.0
+# peak HU range of the blobs `generate_dataset` draws
+ANOMALY_INTENSITY_RANGE = (-300.0, -100.0)
 
 # Stream tags keeping anomaly draws off the base-geometry stream.
 _ANOMALY_STREAM = 7919
@@ -246,14 +248,13 @@ def generate_dataset(
     dims: tuple[int, int, int] = (64, 96, 96),
     vessel_count: int = 12,
     radius_range: tuple[float, float] = (3.5, 5.5),
-    intensity_range: tuple[float, float] = (-300.0, -100.0),
-    blob_count: int = 1,
 ) -> Path:
     """Write n_normal + n_abnormal phantom cases as MVOL files plus a manifest.
 
-    Per-case seeds are seed + case index (normals first). Abnormal blob
-    radius/intensity are drawn per case from the given ranges on a stream
-    derived from the case seed, so regeneration is exactly reproducible.
+    Per-case seeds are seed + case index (normals first). Each abnormal case
+    has one blob whose radius and peak HU are drawn from ``radius_range`` and
+    ``ANOMALY_INTENSITY_RANGE`` on a stream derived from the case seed, so
+    regeneration is exactly reproducible.
     """
     if n_normal < 0 or n_abnormal < 0:
         raise InvalidArgumentError("case counts must be >= 0")
@@ -268,8 +269,7 @@ def generate_dataset(
             draw = np.random.default_rng([case_seed, _DATASET_STREAM])
             anomaly = AnomalySpec(
                 radius_vox=float(draw.uniform(*radius_range)),
-                intensity_hu=float(draw.uniform(*intensity_range)),
-                count=blob_count,
+                intensity_hu=float(draw.uniform(*ANOMALY_INTENSITY_RANGE)),
             )
         cfg = PhantomConfig(dims=dims, seed=case_seed, vessel_count=vessel_count, anomaly=anomaly)
         ct, mask, gt = generate_case(cfg)

@@ -23,7 +23,8 @@ lung's bounding box, and without a float copy of the whole grid:
   float32; ``volume.window_unit``) is monotone non-decreasing at every step,
   rounding included, so ``max(window(x)) == window(max(x))`` bit for bit. The
   max runs over the int16 masked box; only the 2D result is windowed.
-- AIP sums the windowed box in float64 and divides by the *full* axis length.
+- AIP sums the windowed box in float64, windowing it in z slabs, and divides
+  by the *full* axis length.
   For an int16 window (hi - lo < 2**16) and axis lengths below 2**14 this
   equals ``np.mean(..., dtype=float64)`` over the whole grid byte for byte:
   every nonzero unit value is a float32 >= 1/(hi - lo) > 2**-16, hence a
@@ -35,9 +36,8 @@ lung's bounding box, and without a float copy of the whole grid:
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -48,7 +48,6 @@ from .volume import (
     DEFAULT_HU_LO,
     Volume,
     freeze_array,
-    is_int,
     mark_readonly,
     normalize_truncated,
     require_hu,
@@ -59,6 +58,7 @@ from .volume import (
 
 DEFAULT_CANVAS = (256, 256)
 BBOX_MARGIN = 2
+_SLAB_VOXELS = 1 << 18  # AIP windows at most this many voxels at a time (3 MiB of float copies)
 
 _PLANE_AXIS = {"axial": 0, "coronal": 1, "sagittal": 2}
 
@@ -146,24 +146,6 @@ class ProjectionGeometry:
             "scale": self.scale,
             "canvas": list(self.canvas),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProjectionGeometry":
-        if not isinstance(d, dict):
-            raise InvalidArgumentError(f"geometry must be a dict, got {type(d).__name__}")
-        missing = sorted({f.name for f in fields(cls)} - d.keys())
-        if missing:
-            raise InvalidArgumentError(f"geometry is missing {missing}")
-        scale = d["scale"]
-        if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
-            raise InvalidArgumentError(f"geometry scale must be a number, got {scale!r}")
-        sizes = {}
-        for key, length in (("plane_shape", 2), ("bbox", 4), ("canvas", 2)):
-            value = d[key]
-            if not isinstance(value, list) or len(value) != length or not all(is_int(v) for v in value):
-                raise InvalidArgumentError(f"geometry {key} must be a list of {length} ints, got {value!r}")
-            sizes[key] = tuple(int(v) for v in value)
-        return cls(ptype=ProjectionType.from_string(d["ptype"]), scale=float(scale), **sizes)
 
 
 @dataclass(frozen=True)
@@ -354,13 +336,32 @@ def _lung_box(lung: np.ndarray, side: str) -> tuple[slice, slice, slice]:
     return slice(zs[0], zs[-1] + 1), ys, xs
 
 
+def _windowed_sums(hu_box, axes, hu_lo, hu_hi) -> dict[int, np.ndarray]:
+    """Float64 sums of the windowed box along each axis in ``axes``.
+
+    The box is windowed in z slabs of at most ``_SLAB_VOXELS`` voxels, so the
+    float copies stay small. The sums are exact (see the module docstring), so
+    adding the slabs' z sums gives the whole box's sums bit for bit."""
+    nz, ny, nx = hu_box.shape
+    sums = {axis: np.zeros(tuple(d for a, d in enumerate(hu_box.shape) if a != axis)) for axis in axes}
+    step = max(1, _SLAB_VOXELS // (ny * nx))
+    for z0 in range(0, nz, step):
+        unit = window_unit(hu_box[z0 : z0 + step], hu_lo, hu_hi)
+        for axis in axes:
+            if axis == 0:
+                sums[0] += unit.sum(axis=0, dtype=np.float64)
+            else:
+                sums[axis][z0 : z0 + step] = unit.sum(axis=axis, dtype=np.float64)
+    return sums
+
+
 def _planes(hu_box, fg_box, box, dims, axes, method, hu_lo, hu_hi) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """(float32 image, uint8 mask) plane per collapse axis in ``axes``.
 
     ``hu_box`` is the masked int16 box (non-lung voxels already ``hu_lo``),
     ``fg_box`` its foreground, or None when the box is the whole unmasked grid.
     Planes are zero outside the box's footprint (see the module docstring)."""
-    unit_box = window_unit(hu_box, hu_lo, hu_hi) if method == "aip" else None
+    sums = _windowed_sums(hu_box, axes, hu_lo, hu_hi) if method == "aip" else None
     planes = {}
     for axis in axes:
         shape = tuple(d for a, d in enumerate(dims) if a != axis)
@@ -369,7 +370,7 @@ def _planes(hu_box, fg_box, box, dims, axes, method, hu_lo, hu_hi) -> dict[int, 
         if method == "mip":
             img[footprint] = window_unit(hu_box.max(axis=axis), hu_lo, hu_hi)
         else:  # exact float64 sum, so dividing by the full length is np.mean's result
-            img[footprint] = (unit_box.sum(axis=axis, dtype=np.float64) / dims[axis]).astype(np.float32)
+            img[footprint] = (sums[axis] / dims[axis]).astype(np.float32)
         if fg_box is None:
             mask = np.ones(shape, dtype=np.uint8)
         else:

@@ -17,15 +17,9 @@ import numpy as np
 import pytest
 
 import mvpad.pipeline
-from mvpad import (
-    MANIFEST_HEADER,
-    RunConfig,
-    load_manifest_cases,
-    load_volume,
-    project_case,
-    read_manifest,
-)
+from mvpad import ExtractorConfig, RunConfig, load_manifest_cases, load_volume, project_case
 from mvpad.cli import build_parser, main
+from mvpad.volume import MANIFEST_HEADER, read_manifest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -116,6 +110,8 @@ class TestBankBuildCommand:
         assert names == expected + ["extractor.json"]
         meta = json.loads((workspace["banks"] / "extractor.json").read_text())
         assert meta["patch_size"] == 9
+        assert ExtractorConfig.from_dict(meta) == RunConfig(canvas=CANVAS).extractor
+        assert RunConfig.from_dict({"canvas": list(CANVAS), "extractor": meta}) == RunConfig(canvas=CANVAS)
 
     def test_projection_subset_builds_fewer_banks(self, workspace, tmp_path):
         cfg = RunConfig(canvas=CANVAS, projection_set="coronal-only")

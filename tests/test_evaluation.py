@@ -6,24 +6,25 @@ import numpy as np
 import pytest
 
 from mvpad import (
-    ALL_PROJECTIONS,
-    Calibration,
     ConfusionCounts,
-    FoldSplit,
-    InsufficientDataError,
-    InvalidArgumentError,
     ProjectionType,
-    RocCurve,
-    calibrate,
     confusion_metrics,
-    counts_at_threshold,
-    fold_metrics,
     monte_carlo_splits,
-    operating_point,
     patient_score,
     roc_auc,
+)
+from mvpad.errors import InsufficientDataError, InvalidArgumentError
+from mvpad.evaluation import (
+    Calibration,
+    FoldSplit,
+    RocCurve,
+    calibrate,
+    counts_at_threshold,
+    fold_metrics,
+    operating_point,
     summarize_folds,
 )
+from mvpad.projection import ALL_PROJECTIONS
 
 PT = ProjectionType.RIGHT_AXIAL
 

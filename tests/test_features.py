@@ -5,16 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from mvpad import (
-    ExtractorConfig,
-    InvalidArgumentError,
-    ProjectedImage,
-    ProjectionGeometry,
-    ProjectionType,
-    extract_features,
-    grid_dims,
-)
-from mvpad.features import _window_stats
+from mvpad import ExtractorConfig, ProjectionType
+from mvpad.errors import InvalidArgumentError
+from mvpad.features import _window_stats, extract_features, grid_dims
+from mvpad.projection import ProjectedImage, ProjectionGeometry
 
 DEFAULT_HASH = "318941e69a7e88e7"
 
@@ -149,7 +143,7 @@ class TestExtraction:
         np.testing.assert_array_equal(b[2:7], a[1:6])
 
     def test_features_invariant_to_zero_padding_outside_bbox(self):
-        from mvpad import crop_resize_to_canvas
+        from mvpad.projection import crop_resize_to_canvas
 
         rng = np.random.default_rng(53)
         img = rng.random((40, 40))

@@ -13,22 +13,24 @@ from hypothesis import strategies as st
 
 from mvpad import (
     ExtractorConfig,
+    ProjectionType,
+    RunConfig,
+    Volume,
+    generate_dataset,
+    load_bank,
+    load_volume,
+    save_volume,
+)
+from mvpad.errors import (
     HeaderFormatError,
     InsufficientDataError,
     InvalidArgumentError,
-    MANIFEST_HEADER,
     MvpadError,
-    ProjectionType,
-    RunConfig,
     UnknownDtypeError,
-    Volume,
-    bank_filename,
-    load_bank,
-    load_volume,
-    read_manifest,
-    save_volume,
 )
 from mvpad.cli import main
+from mvpad.memory_bank import bank_filename
+from mvpad.volume import MANIFEST_HEADER, read_manifest
 
 FUZZ = settings(
     max_examples=100,
@@ -201,6 +203,13 @@ class TestContainerHeaders:
         assert rc == UnknownDtypeError.exit_code == 6
 
 
+@pytest.fixture(scope="module")
+def normal_manifest(tmp_path_factory):
+    """Two small normal phantoms: enough for a `bank build` to succeed."""
+    out = tmp_path_factory.mktemp("normals")
+    return generate_dataset(2, 0, seed=3, out_dir=out, dims=(32, 48, 48), vessel_count=2)
+
+
 class TestConfigScoresManifest:
     @pytest.mark.parametrize(
         "data",
@@ -216,6 +225,12 @@ class TestConfigScoresManifest:
             {"smoothing_sigma": math.inf},
             {"smoothing_sigma": math.nan},
             {"projection_set": []},
+            {"extractor": {"patch_sise": 7}},
+            {"extractor": {"patch_size": 7, "scale": [1]}},
+            {"extractor": {"stats": ["max"]}},
+            {"extractor": {"stats": ["std", "mean"]}},
+            {"extractor": {"filters": ["identity"]}},
+            {"extractor": {"filters": "identity"}},
         ],
     )
     def test_from_dict_raises_invalid_argument(self, data):
@@ -245,6 +260,13 @@ class TestConfigScoresManifest:
             {"hu_hi": True},
             {"hu_lo": False, "hu_hi": True},
             {"seed": True},
+            {"coreset_frac": True},
+            {"q": True},
+            {"q": False},
+            {"smoothing_sigma": True},
+            {"smoothing_sigma": False},
+            {"localization_pct": True},
+            {"localization_pct": False},
         ],
         ids=lambda data: json.dumps(data),
     )
@@ -264,6 +286,23 @@ class TestConfigScoresManifest:
         assert (cfg.hu_lo, cfg.hu_hi, cfg.seed) == (-900, 100, 4)
         assert all(type(v) is int for v in (cfg.hu_lo, cfg.hu_hi, cfg.seed))
         assert cfg == RunConfig(hu_lo=-900, hu_hi=100, seed=4)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"coreset_frac": true}',
+            '{"q": true}',
+            '{"extractor": {"patch_sise": 7}}',
+            '{"extractor": {"stats": ["max"]}}',
+        ],
+    )
+    def test_cli_bank_build_rejects_values_it_would_ignore(self, normal_manifest, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = run_cli(capsys, "bank", "build", "--manifest", normal_manifest,
+                     "--config", cfg, "--out", tmp_path / "banks")
+        assert rc == InvalidArgumentError.exit_code == 3
+        assert not (tmp_path / "banks").exists()
 
     def test_cli_coerced_config_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

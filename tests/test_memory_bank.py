@@ -9,25 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvpad import (
-    ALL_PROJECTIONS,
     AnomalyMap2D,
-    DimensionMismatchError,
     ExtractorConfig,
-    ExtractorMismatchError,
     FeatureGrid,
-    HeaderFormatError,
-    InvalidArgumentError,
     MemoryBank,
-    PayloadSizeError,
     PhantomConfig,
     ProjectionType,
-    aggregate_bank,
     anomaly_map,
-    bank_filename,
     build_bank,
     bulk_nn_distance,
-    coreset_size,
-    extract_features,
     generate_case,
     greedy_coreset,
     load_bank,
@@ -36,7 +26,16 @@ from mvpad import (
     save_bank,
     split_left_right,
 )
-from mvpad.memory_bank import _first_unique_rows
+from mvpad.errors import (
+    DimensionMismatchError,
+    ExtractorMismatchError,
+    HeaderFormatError,
+    InvalidArgumentError,
+    PayloadSizeError,
+)
+from mvpad.features import extract_features
+from mvpad.memory_bank import _first_unique_rows, aggregate_bank, bank_filename, coreset_size
+from mvpad.projection import ALL_PROJECTIONS
 
 PT = ProjectionType.RIGHT_AXIAL
 

@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 from scipy.ndimage import binary_dilation
 
-from mvpad import (
-    AnomalyFitError,
-    AnomalySpec,
-    InvalidArgumentError,
-    PhantomConfig,
-    generate_case,
-    generate_dataset,
-    read_manifest,
-    volumes_equal,
-)
-from mvpad import phantom
+from mvpad import PhantomConfig, generate_case, generate_dataset, phantom
+from mvpad.errors import AnomalyFitError, InvalidArgumentError
+from mvpad.phantom import AnomalySpec
+from mvpad.volume import read_manifest, volumes_equal
 
 SMALL = (32, 48, 48)
 

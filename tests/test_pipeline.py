@@ -9,6 +9,7 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,35 +17,29 @@ import pytest
 
 import mvpad
 from mvpad import (
-    ALL_PROJECTIONS,
-    Calibration,
     ExtractorConfig,
     FeatureCache,
-    FoldSplit,
-    InsufficientDataError,
-    InvalidArgumentError,
-    LocalizationResult,
     MemoryBank,
     PROJECTION_SETS,
     ProjectionType,
     RunConfig,
-    STAGE_FINAL,
     build_banks,
-    calibrate,
     calibrate_from_cases,
-    case_anomaly_maps,
     compute_case_features,
-    coreset_size,
     generate_dataset,
     load_manifest_cases,
     localize_case,
     monte_carlo_run,
     monte_carlo_splits,
-    parallel_map,
     patient_score,
     raw_scores,
-    run_fold,
 )
+from mvpad.errors import InsufficientDataError, InvalidArgumentError
+from mvpad.evaluation import Calibration, FoldSplit, calibrate
+from mvpad.memory_bank import coreset_size
+from mvpad.pipeline import LocalizationResult, case_anomaly_maps, parallel_map, run_fold
+from mvpad.projection import ALL_PROJECTIONS
+from mvpad.reconstruction import STAGE_FINAL
 
 SMALL_DIMS = (32, 48, 48)
 CANVAS = (64, 64)
@@ -127,11 +122,6 @@ class TestRunConfig:
         with pytest.raises(InvalidArgumentError):
             RunConfig.from_json(path)
 
-    def test_with_overrides_leaves_original(self, cfg):
-        other = cfg.with_overrides(method="aip")
-        assert other.method == "aip"
-        assert cfg.method == "mip"
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -198,7 +188,7 @@ class TestComputeCaseFeatures:
     def test_hu_window_changes_features(self, corpus, cfg, normal_ids):
         cases, _ = corpus
         base = compute_case_features(cases[normal_ids[0]], cfg)
-        wide = compute_case_features(cases[normal_ids[0]], cfg.with_overrides(hu_lo=-1000, hu_hi=200))
+        wide = compute_case_features(cases[normal_ids[0]], replace(cfg, hu_lo=-1000, hu_hi=200))
         assert any(
             not np.array_equal(base.grids[p].features, wide.grids[p].features) for p in cfg.ptypes
         )
@@ -219,7 +209,7 @@ class TestFeatureCache:
         cases, _ = corpus
         cache = FeatureCache()
         mip = cache.features_for(cases[normal_ids[0]], cfg)
-        aip = cache.features_for(cases[normal_ids[0]], cfg.with_overrides(method="aip"))
+        aip = cache.features_for(cases[normal_ids[0]], replace(cfg, method="aip"))
         ptype = ProjectionType.RIGHT_CORONAL
         assert aip.grids[ptype] is not mip.grids[ptype]
         assert not np.array_equal(aip.grids[ptype].features, mip.grids[ptype].features)
@@ -361,7 +351,7 @@ class TestLocalizeCase:
         feats, banks = trained
         case = cases[abnormal_ids[0]]
         with pytest.raises(InvalidArgumentError):
-            localize_case(case, feats[case.case_id], banks, cfg.with_overrides(unsegmented=True))
+            localize_case(case, feats[case.case_id], banks, replace(cfg, unsegmented=True))
 
 
 @pytest.fixture(scope="module")
@@ -451,7 +441,8 @@ class TestMonteCarloRun:
 # abnormal case, and prints one hash of the bank bytes and the map bytes.
 BANK_AND_SCORE = """
 import hashlib, sys
-from mvpad import RunConfig, build_banks, case_anomaly_maps, compute_case_features, load_manifest_cases
+from mvpad import RunConfig, build_banks, compute_case_features, load_manifest_cases
+from mvpad.pipeline import case_anomaly_maps
 
 cases, records = load_manifest_cases(sys.argv[1])
 cfg = RunConfig(canvas=(64, 64), projection_set="coronal-only")
@@ -497,15 +488,33 @@ def fold_auc_of(pairs):
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
+def imported_from_mvpad(path: Path) -> set[str]:
+    """Names a script imports with ``from mvpad import ...``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "mvpad" and node.level == 0
+        for alias in node.names
+    }
+
+
 @pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
 def test_demo_imports_resolve(demo):
     # parse only: a name dropped from mvpad's exports must fail here, not in a demo run
-    tree = ast.parse(demo.read_text(encoding="utf-8"))
-    names = [
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "mvpad"
-        for alias in node.names
-    ]
+    names = imported_from_mvpad(demo)
     assert names
-    assert [name for name in names if not hasattr(mvpad, name)] == []
+    assert sorted(name for name in names if not hasattr(mvpad, name)) == []
+
+
+def test_top_level_exports_are_what_the_gates_and_demos_import():
+    # the release gates and the demos use the top level; other callers import submodules
+    used = imported_from_mvpad(Path(__file__).with_name("test_acceptance.py"))
+    for demo in DEMOS.glob("*.py"):
+        used |= imported_from_mvpad(demo)
+    exported = {
+        name for name, value in vars(mvpad).items()
+        if not name.startswith("_") and not isinstance(value, type(mvpad))
+    }
+    assert exported == used
+    assert len(exported) == 42

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,36 +11,34 @@ from hypothesis import strategies as st
 
 from mvpad import (
     AnomalyMap2D,
-    AnomalyVolume,
-    DimensionMismatchError,
     EmptyMaskError,
-    InvalidArgumentError,
-    OverlapError,
-    ProjectedMask,
-    ProjectionGeometry,
     ProjectionType,
     RunConfig,
-    STAGE_FINAL,
-    STAGE_PER_LUNG,
-    STAGE_PER_PROJECTION,
-    back_project_plane,
-    binarize_top,
     build_banks,
-    case_anomaly_maps,
     compute_case_features,
-    crop_resize_to_canvas,
-    fuse_final,
-    fuse_per_lung,
     generate_dataset,
     load_manifest_cases,
-    localization_hit,
     localize_case,
     mask_normalize_2d,
     percentile_minmax,
-    percentile_nearest_rank,
     reverse_project,
 )
-from mvpad.reconstruction import _weighted_nearest_rank
+from mvpad.errors import DimensionMismatchError, InvalidArgumentError, OverlapError
+from mvpad.pipeline import case_anomaly_maps
+from mvpad.projection import ProjectedMask, ProjectionGeometry, crop_resize_to_canvas
+from mvpad.reconstruction import (
+    AnomalyVolume,
+    STAGE_FINAL,
+    STAGE_PER_LUNG,
+    STAGE_PER_PROJECTION,
+    _weighted_nearest_rank,
+    back_project_plane,
+    binarize_top,
+    fuse_final,
+    fuse_per_lung,
+    localization_hit,
+    percentile_nearest_rank,
+)
 
 PT = ProjectionType.RIGHT_CORONAL
 
@@ -551,7 +550,7 @@ class TestPlaneSpaceEquivalence:
             assert_same_bytes(fused.values, ref_fused)
             for pct in (q, cfg.localization_pct):
                 assert_same_bytes(binarize_top(fused, pct), _reference_binarize(ref_fused, union, pct))
-            result = localize_case(case, feats[cid], banks, cfg.with_overrides(q=q), maps=maps[cid])
+            result = localize_case(case, feats[cid], banks, replace(cfg, q=q), maps=maps[cid])
             assert_same_bytes(result.fused.values, ref_fused)
             assert_same_bytes(result.binarized, _reference_binarize(ref_fused, union, cfg.localization_pct))
 

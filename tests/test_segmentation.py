@@ -3,19 +3,10 @@
 import numpy as np
 import pytest
 
-from mvpad import (
-    AnomalySpec,
-    ComponentSplitError,
-    EmptyMaskError,
-    InvalidArgumentError,
-    PhantomConfig,
-    Volume,
-    dice,
-    generate_case,
-    iou,
-    split_left_right,
-    threshold_segment_phantom,
-)
+from mvpad import EmptyMaskError, PhantomConfig, Volume, generate_case, split_left_right
+from mvpad.errors import ComponentSplitError, InvalidArgumentError
+from mvpad.phantom import AnomalySpec
+from mvpad.segmentation import dice, iou, threshold_segment_phantom
 
 SMALL = (32, 48, 48)
 
@@ -91,7 +82,7 @@ class TestSplitLeftRight:
             split_left_right(Volume(vox))
 
     def test_overlapping_pair_rejected_on_construction(self):
-        from mvpad import LungPair
+        from mvpad.segmentation import LungPair
 
         ones = Volume(np.ones((3, 3, 3), dtype=np.uint8))
         with pytest.raises(ComponentSplitError):
@@ -167,7 +158,7 @@ class TestOverlapScores:
             assert 0.0 <= j <= d <= 1.0
 
     def test_dim_mismatch_raises(self):
-        from mvpad import DimensionMismatchError
+        from mvpad.errors import DimensionMismatchError
 
         with pytest.raises(DimensionMismatchError):
             dice(np.zeros((2, 2, 2)), np.zeros((3, 3, 3)))

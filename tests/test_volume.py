@@ -5,23 +5,23 @@ import json
 import numpy as np
 import pytest
 
-from mvpad import (
-    CaseRecord,
+from mvpad import Volume, load_volume, save_volume
+from mvpad.errors import (
     HeaderFormatError,
     InvalidArgumentError,
     PayloadSizeError,
     UnknownDtypeError,
-    Volume,
-    load_volume,
+)
+from mvpad.volume import (
+    CaseRecord,
+    freeze_array,
     normalize_truncated,
     read_manifest,
     resolve_manifest_path,
-    save_volume,
     truncate_hu,
     volumes_equal,
     write_manifest,
 )
-from mvpad.volume import freeze_array
 
 
 def hu_volume(values, spacing=(1.0, 1.0, 1.0)):
