@@ -331,9 +331,7 @@ def anomaly_map(
     half = (test_grid.patch_size - 1) / 2.0
     gi = (np.arange(h, dtype=np.float64) - half) / test_grid.stride
     gj = (np.arange(w, dtype=np.float64) - half) / test_grid.stride
-    rows = np.repeat(gi, w)
-    cols = np.tile(gj, h)
-    painted = bilinear_sample(dgrid, rows, cols).reshape(h, w)
+    painted = bilinear_sample(dgrid, gi[:, None], gj[None, :])
     if smoothing_sigma > 0:
         painted = ndimage.gaussian_filter(painted, sigma=smoothing_sigma, mode="reflect")
     pixels = painted.astype(np.float32)

@@ -29,6 +29,7 @@ from .evaluation import (
 from .features import FeatureGrid, extract_features
 from .memory_bank import AnomalyMap2D, MemoryBank, anomaly_map, build_bank
 from .projection import ProjectedImage, ProjectedMask, ProjectionType, project_case
+# unused here, but perfbench/spans.TARGETS wraps reverse_project, fuse_per_lung and fuse_final by name
 from .reconstruction import (
     AnomalyVolume,
     binarize_top,
@@ -36,6 +37,7 @@ from .reconstruction import (
     fuse_per_lung,
     localization_hit,
     mask_normalize_2d,
+    restore_in_lung_boxes,
     reverse_project,
 )
 from .segmentation import LungPair, split_left_right
@@ -211,26 +213,11 @@ def localize_case(
         raise InvalidArgumentError("localization needs lung segmentation")
     if maps is None:
         maps = case_anomaly_maps(features, banks, cfg)
-    per_lung = {}
-    for side in ("right", "left"):
-        side_region = case.lungs.mask(side).voxels > 0
-        side_region.flags.writeable = False  # the side's 4 volumes share it uncopied
-        parts = {}
-        for ptype in cfg.ptypes:
-            if ptype.side != side:
-                continue
-            grid2d = mask_normalize_2d(maps[ptype], features.masks[ptype], cfg.q)
-            parts[ptype.plane] = reverse_project(
-                grid2d,
-                features.masks[ptype].geometry,
-                side_region,
-                cfg.q,
-                spacing_mm=case.ct.spacing_mm,
-            )
-        per_lung[side] = fuse_per_lung(
-            parts["sagittal"], parts["coronal"], parts["axial"], side_region
-        )
-    fused = fuse_final(per_lung["right"], per_lung["left"], cfg.q)
+    grids = {}
+    for ptype in cfg.ptypes:
+        mask = features.masks[ptype]
+        grids[ptype] = (mask_normalize_2d(maps[ptype], mask, cfg.q), mask.geometry)
+    fused = restore_in_lung_boxes(case.lungs, grids, cfg.q, case.ct.spacing_mm)
     binarized = binarize_top(fused, cfg.localization_pct)
     hit = None
     if case.gt is not None:

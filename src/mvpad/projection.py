@@ -223,7 +223,11 @@ def project_mask(mask: Volume, ptype: ProjectionType) -> np.ndarray:
 
 
 def bilinear_sample(src: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sample src (float64) at fractional (rows, cols), clamping at edges."""
+    """Sample src (float64) at fractional (rows, cols), clamping at edges.
+
+    ``rows`` and ``cols`` broadcast against each other, so a column of rows
+    and a row of columns sample a whole grid; each output value is computed
+    exactly as for the same pair passed as flat arrays."""
     h, w = src.shape
     rows = np.clip(rows, 0.0, h - 1.0)
     cols = np.clip(cols, 0.0, w - 1.0)
@@ -241,7 +245,7 @@ def bilinear_sample(src: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.n
 
 
 def nearest_sample(src: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Nearest-neighbor sampling with round-half-even (mirror-symmetric)."""
+    """Nearest-neighbor sampling with round-half-even (mirror-symmetric); broadcasts like bilinear_sample."""
     h, w = src.shape
     ri = np.clip(np.rint(rows).astype(np.intp), 0, h - 1)
     ci = np.clip(np.rint(cols).astype(np.intp), 0, w - 1)
@@ -294,13 +298,12 @@ def crop_resize_to_canvas(
     # pixel-center aligned sampling positions back in crop coordinates
     src_r = (np.arange(rh, dtype=np.float64) + 0.5) / scale - 0.5
     src_c = (np.arange(rw, dtype=np.float64) + 0.5) / scale - 0.5
-    rows = np.repeat(src_r, rw)
-    cols = np.tile(src_c, rh)
+    rows, cols = src_r[:, None], src_c[None, :]
 
     crop_img = img[r0:r1, c0:c1].astype(np.float64)
     crop_mask = (mask2d[r0:r1, c0:c1] > 0).astype(np.uint8)
-    resized_img = bilinear_sample(crop_img, rows, cols).reshape(rh, rw)
-    resized_mask = nearest_sample(crop_mask, rows, cols).reshape(rh, rw)
+    resized_img = bilinear_sample(crop_img, rows, cols)
+    resized_mask = nearest_sample(crop_mask, rows, cols)
     resized_img *= resized_mask
 
     canvas_img = np.zeros((ch, cw), dtype=np.float64)
@@ -321,7 +324,7 @@ def _check_lung_dims(ct: Volume, lung: Volume) -> None:
         raise DimensionMismatchError(f"ct dims {ct.dims} != lung mask dims {lung.dims}")
 
 
-def _lung_box(lung: np.ndarray, side: str) -> tuple[slice, slice, slice]:
+def lung_box(lung: np.ndarray, side: str) -> tuple[slice, slice, slice]:
     """Tight 3D bounding box of ``lung > 0``; EmptyMaskError when there is none.
 
     ``max(...) > 0`` equals ``(lung > 0).any(...)`` for every volume dtype,
@@ -418,7 +421,7 @@ def project_case(
             axes = sorted({ptype.axis for ptype in ptypes if ptype.side == side})
             if not axes:
                 continue
-            box = _lung_box(lung.voxels, side)
+            box = lung_box(lung.voxels, side)
             fg = lung.voxels[box] > 0
             masked = np.where(fg, ct.voxels[box], np.int16(hu_lo))
             side_planes[side] = _planes(masked, fg, box, ct.dims, axes, method, hu_lo, hu_hi)

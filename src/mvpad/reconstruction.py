@@ -9,19 +9,28 @@ Normalization is a percentile-based min-max: values at or below the q-th
 nearest-rank percentile of the region collapse to zero, the region max maps
 to one. A constant region yields all zeros (no ranking information).
 
-The replicated volume is constant along the collapsed axis, so its 3D
-normalization runs on the plane: each pixel counts as many times as the
-region has voxels behind it (``region.sum(axis)``), the percentile is the
-weighted nearest rank over the pixels, the max is taken over the pixels with
-a positive count, and the clipped result is written into the region voxels
-only. Fusion likewise reads and writes only the region voxels. The float32
-bytes equal those of replicating the plane and normalizing and summing the
-whole voxel grid in float64, which no step here allocates.
+``reverse_project``, ``fuse_per_lung`` and ``fuse_final`` are the reference
+definitions: each builds one full-grid ``AnomalyVolume`` per stage.
+``restore_in_lung_boxes`` computes the same final volume, byte for byte,
+inside each lung's bounding box, and is what localization runs:
+
+- The replicated volume is constant along the collapsed axis, so its 3D
+  normalization runs on the plane. Each pixel counts as many times as the
+  region has voxels behind it, the percentile is the weighted nearest rank
+  over those pixels, and the max is taken over the pixels with a positive
+  count. All such pixels lie in the box's footprint on the plane.
+- Each normalized float32 plane is read at the box's region voxels, and a
+  lung's three parts are summed in float64 in ``fuse_per_lung``'s order, then
+  rounded to float32.
+- The lungs are disjoint, so the final nearest rank and max run over the two
+  lungs' region values, which is order-free; the min-max scaling is per
+  value. Only the final float32 volume and its union region are full-grid.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +42,8 @@ from .errors import (
     OverlapError,
 )
 from .memory_bank import AnomalyMap2D
-from .projection import ProjectedMask, ProjectionGeometry, bilinear_sample
+from .projection import ProjectedMask, ProjectionGeometry, ProjectionType, bilinear_sample, lung_box
+from .segmentation import LungPair
 from .volume import checked_spacing, freeze_array, mark_readonly
 
 DEFAULT_PERCENTILE_Q = 50.0
@@ -44,6 +54,9 @@ STAGE_PER_PROJECTION = "per_projection"
 STAGE_PER_LUNG = "per_lung"
 STAGE_FINAL = "final"
 _STAGES = (STAGE_PER_PROJECTION, STAGE_PER_LUNG, STAGE_FINAL)
+
+# the order in which fuse_per_lung sums one lung's three parts
+_FUSION_ORDER = ("sagittal", "coronal", "axial")
 
 # per-lung maps are sums of up to three unit-range maps, so only the
 # normalized stages promise the [0,1] range
@@ -179,10 +192,36 @@ def back_project_plane(grid: np.ndarray, geometry: ProjectionGeometry) -> np.nda
     r0, c0, r1, c1 = geometry.bbox
     rows = (np.arange(r0, r1, dtype=np.float64) - r0 + 0.5) * geometry.scale - 0.5
     cols = (np.arange(c0, c1, dtype=np.float64) - c0 + 0.5) * geometry.scale - 0.5
-    rr = np.repeat(rows, cols.size)
-    cc = np.tile(cols, rows.size)
-    plane[r0:r1, c0:c1] = bilinear_sample(src, rr, cc).reshape(r1 - r0, c1 - c0)
+    plane[r0:r1, c0:c1] = bilinear_sample(src, rows[:, None], cols[None, :])
     return plane
+
+
+def _normalized_plane(grid, geometry, dims, box, region, q) -> np.ndarray:
+    """One projection's float32 normalized plane, cut to the footprint of ``box``.
+
+    ``box`` is a 3D slice tuple of a ``dims`` grid and ``region`` the side's
+    lung region inside it. Each pixel counts as many times as the region has
+    voxels behind it. Every such pixel lies in the footprint, so the weighted
+    nearest rank and the max are those of the whole plane."""
+    ptype = geometry.ptype
+    expected_plane = tuple(d for ax, d in enumerate(dims) if ax != ptype.axis)
+    if geometry.plane_shape != expected_plane:
+        raise DimensionMismatchError(
+            f"{ptype.value} sidecar plane {geometry.plane_shape} does not match "
+            f"volume dims {tuple(dims)}"
+        )
+    footprint = tuple(s for ax, s in enumerate(box) if ax != ptype.axis)
+    plane = back_project_plane(grid, geometry)[footprint]
+    counts = region.sum(axis=ptype.axis)
+    covered = counts > 0
+    seen = plane[covered]
+    p_q = _weighted_nearest_rank(seen, counts[covered], q)
+    return _minmax_scale(plane, p_q, float(seen.max())).astype(np.float32)
+
+
+def _region_values(norm: np.ndarray, axis: int, region: np.ndarray) -> np.ndarray:
+    """The plane ``norm`` replicated along ``axis``, read at the region voxels in C order."""
+    return np.broadcast_to(np.expand_dims(norm, axis), region.shape)[region]
 
 
 def reverse_project(
@@ -203,21 +242,9 @@ def reverse_project(
     region = np.asarray(lung_region, dtype=bool)
     if region.ndim != 3:
         raise InvalidArgumentError(f"lung region must be 3D, got shape {region.shape}")
-    ptype = geometry.ptype
-    expected_plane = tuple(d for ax, d in enumerate(region.shape) if ax != ptype.axis)
-    if geometry.plane_shape != expected_plane:
-        raise DimensionMismatchError(
-            f"{ptype.value} sidecar plane {geometry.plane_shape} does not match "
-            f"volume dims {region.shape}"
-        )
-    plane = back_project_plane(grid, geometry)
-    counts = region.sum(axis=ptype.axis)
-    covered = counts > 0
-    seen = plane[covered]
-    p_q = _weighted_nearest_rank(seen, counts[covered], q)
-    norm = _minmax_scale(plane, p_q, float(seen.max())).astype(np.float32)
+    norm = _normalized_plane(grid, geometry, region.shape, (slice(None),) * 3, region, q)
     values = np.zeros(region.shape, dtype=np.float32)
-    values[region] = np.broadcast_to(np.expand_dims(norm, ptype.axis), region.shape)[region]
+    values[region] = _region_values(norm, geometry.ptype.axis, region)
     return AnomalyVolume(
         values=mark_readonly(values),
         stage=STAGE_PER_PROJECTION,
@@ -288,6 +315,51 @@ def fuse_final(u_right: AnomalyVolume, u_left: AnomalyVolume, q: float = DEFAULT
         stage=STAGE_FINAL,
         region=mark_readonly(union),
         spacing_mm=u_right.spacing_mm,
+    )
+
+
+def restore_in_lung_boxes(
+    lungs: LungPair,
+    grids: Mapping[ProjectionType, tuple[np.ndarray, ProjectionGeometry]],
+    q: float = DEFAULT_PERCENTILE_Q,
+    spacing_mm: tuple[float, float, float] = (1.0, 1.0, 1.0),
+) -> AnomalyVolume:
+    """The final fused volume of both lungs, computed inside each lung's bounding box.
+
+    ``grids`` maps each of the six projection types to its normalized canvas
+    grid and geometry. The bytes equal ``fuse_final`` of the two
+    ``fuse_per_lung`` sums of ``reverse_project`` of each grid.
+    """
+    dims = lungs.right.dims
+    boxes, regions, sums = [], [], []
+    for side in ("right", "left"):
+        lung = lungs.mask(side).voxels
+        box = lung_box(lung, side)
+        region = lung[box] > 0
+        parts = []
+        for plane in _FUSION_ORDER:
+            grid, geometry = grids[ProjectionType(f"{side}_{plane}")]
+            norm = _normalized_plane(grid, geometry, dims, box, region, q)
+            parts.append(_region_values(norm, geometry.ptype.axis, region).astype(np.float64))
+        boxes.append(box)
+        regions.append(region)
+        sums.append(sum(parts).astype(np.float32))  # fuse_per_lung's order and rounding
+    # fuse_final's nearest rank and max ignore value order, and its scaling is per value
+    inside = np.concatenate(sums).astype(np.float64)
+    scaled = _minmax_scale(inside, percentile_nearest_rank(inside, q), float(inside.max()))
+    scaled = scaled.astype(np.float32)
+    values = np.zeros(dims, dtype=np.float32)
+    union = np.zeros(dims, dtype=bool)
+    start = 0
+    for box, region, part in zip(boxes, regions, sums):
+        values[box][region] = scaled[start : start + part.size]
+        union[box] |= region
+        start += part.size
+    return AnomalyVolume(
+        values=mark_readonly(values),
+        stage=STAGE_FINAL,
+        region=mark_readonly(union),
+        spacing_mm=spacing_mm,
     )
 
 

@@ -5,6 +5,7 @@ tiny and example counts small so each runs well under two seconds."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,10 @@ from mvpad import (
     load_volume,
     save_volume,
 )
+from mvpad import cli
 from mvpad.errors import (
+    DimensionMismatchError,
+    EmptyMaskError,
     HeaderFormatError,
     InsufficientDataError,
     InvalidArgumentError,
@@ -30,6 +34,8 @@ from mvpad.errors import (
 )
 from mvpad.cli import main
 from mvpad.memory_bank import bank_filename
+from mvpad.pipeline import CaseFeatures
+from mvpad.projection import ProjectedMask
 from mvpad.volume import MANIFEST_HEADER, read_manifest
 
 FUZZ = settings(
@@ -208,6 +214,48 @@ def normal_manifest(tmp_path_factory):
     """Two small normal phantoms: enough for a `bank build` to succeed."""
     out = tmp_path_factory.mktemp("normals")
     return generate_dataset(2, 0, seed=3, out_dir=out, dims=(32, 48, 48), vessel_count=2)
+
+
+@pytest.fixture(scope="module")
+def normal_banks(normal_manifest, tmp_path_factory):
+    out = tmp_path_factory.mktemp("banks")
+    assert main(["bank", "build", "--manifest", str(normal_manifest), "--out", str(out)]) == 0
+    return out
+
+
+class TestLocalizeErrors:
+    """`mvpad localize` turns the reconstruction checks into their exit codes."""
+
+    @staticmethod
+    def localize_with_mask(monkeypatch, capsys, tmp_path, manifest, banks, ptype, corrupt) -> int:
+        real = cli.compute_case_features
+
+        def features_with_bad_mask(case, cfg):
+            feats = real(case, cfg)
+            masks = {**feats.masks, ptype: corrupt(feats.masks[ptype])}
+            return CaseFeatures(case_id=feats.case_id, grids=feats.grids, masks=masks)
+
+        monkeypatch.setattr(cli, "compute_case_features", features_with_bad_mask)
+        return run_cli(capsys, "localize", "--manifest", manifest, "--banks", banks, "--out", tmp_path / "loc")
+
+    def test_sidecar_plane_mismatch_exits_7(self, normal_manifest, normal_banks, monkeypatch, capsys, tmp_path):
+        def taller_plane(mask):
+            h, w = mask.geometry.plane_shape
+            return ProjectedMask(replace(mask.geometry, plane_shape=(h + 1, w)), mask.pixels)
+
+        rc = self.localize_with_mask(monkeypatch, capsys, tmp_path, normal_manifest, normal_banks,
+                                     ProjectionType.LEFT_SAGITTAL, taller_plane)
+        assert rc == DimensionMismatchError.exit_code == 7
+        assert not list((tmp_path / "loc").iterdir())
+
+    def test_empty_projected_mask_exits_8(self, normal_manifest, normal_banks, monkeypatch, capsys, tmp_path):
+        def empty(mask):
+            return ProjectedMask(mask.geometry, np.zeros_like(mask.pixels))
+
+        rc = self.localize_with_mask(monkeypatch, capsys, tmp_path, normal_manifest, normal_banks,
+                                     ProjectionType.RIGHT_AXIAL, empty)
+        assert rc == EmptyMaskError.exit_code == 8
+        assert not list((tmp_path / "loc").iterdir())
 
 
 class TestConfigScoresManifest:

@@ -34,8 +34,8 @@ from mvpad.errors import (
     PayloadSizeError,
 )
 from mvpad.features import extract_features
-from mvpad.memory_bank import _first_unique_rows, aggregate_bank, bank_filename, coreset_size
-from mvpad.projection import ALL_PROJECTIONS
+from mvpad.memory_bank import _distance_grid, _first_unique_rows, aggregate_bank, bank_filename, coreset_size
+from mvpad.projection import ALL_PROJECTIONS, bilinear_sample
 
 PT = ProjectionType.RIGHT_AXIAL
 
@@ -508,6 +508,20 @@ class TestAnomalyMap:
         amap = anomaly_map(grid, bank, smoothing_sigma=0.0)
         per_loc = [nn_distance(vec, bank)[0] for vec in grid.flat()]
         assert amap.score == pytest.approx(max(per_loc), rel=1e-6)
+
+    def test_broadcast_painting_equals_flat_coordinate_arrays(self):
+        # painting with a column of rows and a row of columns equals
+        # painting at the flat repeat/tile coordinate arrays, byte for byte
+        rng = np.random.default_rng(73)
+        grid = make_grid(rng.random((4, 7, 3), dtype=np.float32), patch_size=5, stride=3, canvas=(14, 23))
+        bank = make_bank(rng.random((9, 3), dtype=np.float32))
+        dgrid = _distance_grid(grid, bank)
+        h, w = grid.canvas
+        gi = (np.arange(h, dtype=np.float64) - 2.0) / 3
+        gj = (np.arange(w, dtype=np.float64) - 2.0) / 3
+        flat = bilinear_sample(dgrid, np.repeat(gi, w), np.tile(gj, h)).reshape(h, w)
+        pixels = anomaly_map(grid, bank, smoothing_sigma=0.0).pixels
+        assert pixels.tobytes() == flat.astype(np.float32).tobytes()
 
     def test_map_invariant_to_bank_entry_order(self):
         rng = np.random.default_rng(71)

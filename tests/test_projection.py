@@ -26,7 +26,9 @@ from mvpad.errors import DimensionMismatchError, InvalidArgumentError
 from mvpad.projection import (
     ALL_PROJECTIONS,
     ProjectionGeometry,
+    bilinear_sample,
     crop_resize_to_canvas,
+    nearest_sample,
     plane_shape,
     prepare_lung_volume,
     prepare_unsegmented_volume,
@@ -221,6 +223,20 @@ class TestCropResize:
             mask[r : r + rng.integers(4, 15), c : c + rng.integers(4, 15)] = 1
             pi, pm = crop_resize_to_canvas(img, mask, ProjectionType.RIGHT_AXIAL, canvas=(96, 96))
             assert not np.any((pi.pixels > 0) & (pm.pixels == 0))
+
+    @pytest.mark.parametrize("sampler", [bilinear_sample, nearest_sample])
+    def test_broadcast_coordinates_equal_flat_coordinate_arrays(self, sampler):
+        # crop_resize_to_canvas samples with a column of rows and a row of
+        # columns; that equals the flat repeat/tile arrays byte for byte,
+        # clamped coordinates and round-half-even ties included
+        rng = np.random.default_rng(43)
+        src = rng.random((11, 17))
+        rows = np.linspace(-1.5, 12.5, 23)
+        cols = np.linspace(-2.0, 18.0, 41)
+        flat = sampler(src, np.repeat(rows, cols.size), np.tile(cols, rows.size))
+        got = sampler(src, rows[:, None], cols[None, :])
+        assert got.shape == (rows.size, cols.size)
+        assert got.tobytes() == flat.reshape(rows.size, cols.size).tobytes()
 
     def test_empty_mask_raises(self):
         with pytest.raises(EmptyMaskError):

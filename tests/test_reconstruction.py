@@ -24,8 +24,8 @@ from mvpad import (
     reverse_project,
 )
 from mvpad.errors import DimensionMismatchError, InvalidArgumentError, OverlapError
-from mvpad.pipeline import case_anomaly_maps
-from mvpad.projection import ProjectedMask, ProjectionGeometry, crop_resize_to_canvas
+from mvpad.pipeline import CaseFeatures, LoadedCase, case_anomaly_maps
+from mvpad.projection import ProjectedMask, ProjectionGeometry, bilinear_sample, crop_resize_to_canvas
 from mvpad.reconstruction import (
     AnomalyVolume,
     STAGE_FINAL,
@@ -39,6 +39,8 @@ from mvpad.reconstruction import (
     localization_hit,
     percentile_nearest_rank,
 )
+from mvpad.segmentation import LungPair
+from mvpad.volume import Volume
 
 PT = ProjectionType.RIGHT_CORONAL
 
@@ -159,6 +161,20 @@ class TestBackProjection:
         geo = ProjectionGeometry(ptype=PT, plane_shape=(4, 4), bbox=(0, 0, 4, 4), scale=1.0, canvas=(8, 8))
         with pytest.raises(DimensionMismatchError):
             back_project_plane(np.zeros((4, 4)), geo)
+
+    def test_broadcast_sampling_equals_flat_coordinate_arrays(self):
+        # sampling with a column of rows and a row of columns equals
+        # sampling the flat repeat/tile coordinate arrays, byte for byte
+        rng = np.random.default_rng(92)
+        geo = ProjectionGeometry(ptype=PT, plane_shape=(37, 53), bbox=(3, 5, 30, 41), scale=48 / 27, canvas=(48, 80))
+        grid = rng.random(geo.canvas)
+        r0, c0, r1, c1 = geo.bbox
+        rows = (np.arange(r0, r1, dtype=np.float64) - r0 + 0.5) * geo.scale - 0.5
+        cols = (np.arange(c0, c1, dtype=np.float64) - c0 + 0.5) * geo.scale - 0.5
+        flat = bilinear_sample(grid, np.repeat(rows, cols.size), np.tile(cols, rows.size))
+        expected = np.zeros(geo.plane_shape)
+        expected[r0:r1, c0:c1] = flat.reshape(r1 - r0, c1 - c0)
+        assert_same_bytes(back_project_plane(grid, geo), expected)
 
 
 
@@ -553,9 +569,49 @@ class TestPlaneSpaceEquivalence:
             result = localize_case(case, feats[cid], banks, replace(cfg, q=q), maps=maps[cid])
             assert_same_bytes(result.fused.values, ref_fused)
             assert_same_bytes(result.binarized, _reference_binarize(ref_fused, union, cfg.localization_pct))
+            assert_matches_reference(result, case, feats[cid], maps[cid], replace(cfg, q=q))
+
+    @pytest.mark.parametrize("q", [0.0, 50.0, 99.5])
+    def test_localize_case_matches_reference_on_lungs_touching_grid_faces(self, phantom_maps, face_case, q):
+        _, _, banks, _, cfg = phantom_maps
+        case, feats, maps = face_case
+        cfg = replace(cfg, q=q)
+        result = localize_case(case, feats, banks, cfg, maps=maps)
+        assert_matches_reference(result, case, feats, maps, cfg)
+        assert result.fused.spacing_mm == FACE_SPACING
+        assert result.hit is not None
+
+    @pytest.mark.parametrize("q", [0.0, 50.0, 99.5])
+    def test_localize_case_matches_reference_on_constant_maps(self, phantom_maps, face_case, q):
+        # constant 2D maps normalize to all zeros, so every scaling takes its m <= p_q branch
+        _, _, banks, _, cfg = phantom_maps
+        case, feats, maps = face_case
+        flat = {ptype: replace(amap, pixels=np.full_like(amap.pixels, 0.25), score=0.25) for ptype, amap in maps.items()}
+        cfg = replace(cfg, q=q)
+        result = localize_case(case, feats, banks, cfg, maps=flat)
+        assert not result.fused.values.any()
+        assert_matches_reference(result, case, feats, flat, cfg)
+
+    def test_localize_case_rejects_sidecar_plane_mismatch(self, phantom_maps):
+        cases, feats, banks, maps, cfg = phantom_maps
+        cid = sorted(cases)[0]
+        mask = feats[cid].masks[ProjectionType.LEFT_AXIAL]
+        h, w = mask.geometry.plane_shape
+        bad = ProjectedMask(replace(mask.geometry, plane_shape=(h + 1, w)), mask.pixels)
+        with pytest.raises(DimensionMismatchError, match="does not match volume dims"):
+            localize_case(cases[cid], with_mask(feats[cid], bad), banks, cfg, maps=maps[cid])
+
+    def test_localize_case_rejects_empty_projected_mask(self, phantom_maps):
+        cases, feats, banks, maps, cfg = phantom_maps
+        cid = sorted(cases)[0]
+        mask = feats[cid].masks[ProjectionType.RIGHT_CORONAL]
+        empty = ProjectedMask(mask.geometry, np.zeros_like(mask.pixels))
+        with pytest.raises(EmptyMaskError):
+            localize_case(cases[cid], with_mask(feats[cid], empty), banks, cfg, maps=maps[cid])
 
     def test_localize_case_peak_memory_per_voxel(self, phantom_maps):
-        # the voxel-grid computation peaked at about 53 traced bytes per voxel
+        # one full-grid float32 volume per stage would peak near 30 traced
+        # bytes per voxel; only the final volume and its masks are full-grid
         cases, feats, banks, maps, cfg = phantom_maps
         case = next(c for c in cases.values() if c.gt is not None)
         tracemalloc.start()
@@ -564,4 +620,70 @@ class TestPlaneSpaceEquivalence:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / math.prod(case.ct.dims) <= 36.0
+        assert peak / math.prod(case.ct.dims) <= 12.0
+
+
+FACE_SPACING = (2.5, 0.75, 0.625)
+
+
+@pytest.fixture(scope="module")
+def face_case(phantom_maps):
+    """A 24x40x48 case with non-unit spacing whose right lung's box spans all of
+    z and starts at x = 0, and whose left lung's box ends at the last x index,
+    with a ground-truth nodule in the right lung."""
+    _, _, banks, _, cfg = phantom_maps
+    dims = (24, 40, 48)
+    z, y, x = np.ogrid[: dims[0], : dims[1], : dims[2]]
+    ez = ((z - 11.5) / 14.0) ** 2
+    ey = ((y - 20.0) / 12.0) ** 2
+    right = ez + ey + ((x - 6.0) / 12.0) ** 2 <= 1.0
+    left = ez + ey + ((x - 41.0) / 12.0) ** 2 <= 1.0
+    rng = np.random.default_rng(93)
+    hu = rng.integers(-950, -600, size=dims, dtype=np.int16)
+    hu[8:12, 16:22, 3:7] = -100  # a dense nodule inside the right lung
+    ct = np.where(right | left, hu, np.int16(40))
+    gt = np.zeros(dims, dtype=np.uint8)
+    gt[8:12, 16:22, 3:7] = 1
+    right_z = np.flatnonzero(right.any(axis=(1, 2)))
+    assert (right_z[0], right_z[-1]) == (0, dims[0] - 1)
+    assert right.any(axis=(0, 1))[0] and left.any(axis=(0, 1))[-1]
+    case = LoadedCase(
+        case_id="faces",
+        label="abnormal",
+        ct=Volume(ct, FACE_SPACING),
+        lungs=LungPair(Volume(right.astype(np.uint8), FACE_SPACING), Volume(left.astype(np.uint8), FACE_SPACING)),
+        gt=Volume(gt, FACE_SPACING),
+    )
+    feats = compute_case_features(case, cfg)
+    return case, feats, case_anomaly_maps(feats, banks, cfg)
+
+
+def with_mask(feats, mask):
+    return CaseFeatures(case_id=feats.case_id, grids=feats.grids, masks={**feats.masks, mask.ptype: mask})
+
+
+def assert_matches_reference(result, case, feats, maps, cfg):
+    """``result`` equals the composition of the full-grid reference stages, byte for byte."""
+    per_lung = {}
+    for side in ("right", "left"):
+        region = case.lungs.mask(side).voxels > 0
+        parts = {
+            ptype.plane: reverse_project(
+                mask_normalize_2d(maps[ptype], feats.masks[ptype], cfg.q),
+                feats.masks[ptype].geometry,
+                region,
+                cfg.q,
+                spacing_mm=case.ct.spacing_mm,
+            )
+            for ptype in cfg.ptypes
+            if ptype.side == side
+        }
+        per_lung[side] = fuse_per_lung(parts["sagittal"], parts["coronal"], parts["axial"], region)
+    fused = fuse_final(per_lung["right"], per_lung["left"], cfg.q)
+    binarized = binarize_top(fused, cfg.localization_pct)
+    assert_same_bytes(result.fused.values, fused.values)
+    assert_same_bytes(result.fused.region, fused.region)
+    assert result.fused.stage == fused.stage
+    assert result.fused.spacing_mm == fused.spacing_mm
+    assert_same_bytes(result.binarized, binarized)
+    assert result.hit == (None if case.gt is None else localization_hit(binarized, case.gt.voxels))
