@@ -61,7 +61,7 @@ def _finite_or_null(value):
     return value
 
 
-def _write_json(data: dict, out_path: str | None) -> None:
+def _write_json(data: dict, out_path: str | Path | None) -> None:
     text = json.dumps(_finite_or_null(data), indent=2, allow_nan=False)
     if out_path:
         Path(out_path).write_text(text + "\n", encoding="utf-8")
@@ -134,9 +134,7 @@ def _cmd_project(args) -> int:
             save_volume(img_vol, out_dir / f"{case.case_id}_{ptype.value}_img.mvol")
             save_volume(mask_vol, out_dir / f"{case.case_id}_{ptype.value}_mask.mvol")
             sidecar["projections"][ptype.value] = img.geometry.to_dict()
-        with open(out_dir / f"{case.case_id}_projection.json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
+        _write_json(sidecar, out_dir / f"{case.case_id}_projection.json")
 
     _map_cases(run_one, records, args.manifest, args.jobs)
     return 0
@@ -156,9 +154,7 @@ def _cmd_bank_build(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for ptype, bank in banks.items():
         save_bank(bank, out_dir / bank_filename(ptype))
-    with open(out_dir / "extractor.json", "w", encoding="utf-8") as fh:
-        json.dump(cfg.extractor.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(cfg.extractor.to_dict(), out_dir / "extractor.json")
     return 0
 
 
@@ -219,9 +215,7 @@ def _cmd_localize(args) -> int:
             "max_value": float(fused.values.max()),
             "hit": result.hit,
         }
-        with open(out_dir / f"{case.case_id}_localization.json", "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_json(report, out_dir / f"{case.case_id}_localization.json")
 
     _map_cases(run_one, records, args.manifest, args.jobs)
     return 0
@@ -272,7 +266,7 @@ def _cmd_segment_eval(args) -> int:
 
     def eval_one(case) -> dict:
         auto = threshold_segment_phantom(case.ct)
-        ref = case.lungs.labeled().voxels
+        ref = case.lungs.labels.voxels
         auto_vox = auto.voxels
         entry = {"case_id": case.case_id}
         entry["dice"] = dice(auto_vox > 0, ref > 0)

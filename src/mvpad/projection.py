@@ -324,21 +324,6 @@ def _check_lung_dims(ct: Volume, lung: Volume) -> None:
         raise DimensionMismatchError(f"ct dims {ct.dims} != lung mask dims {lung.dims}")
 
 
-def lung_box(lung: np.ndarray, side: str) -> tuple[slice, slice, slice]:
-    """Tight 3D bounding box of ``lung > 0``; EmptyMaskError when there is none.
-
-    ``max(...) > 0`` equals ``(lung > 0).any(...)`` for every volume dtype,
-    because ``> 0`` is monotone."""
-    yx = lung.max(axis=0) > 0
-    rows = np.flatnonzero(yx.any(axis=1))
-    if rows.size == 0:
-        raise EmptyMaskError(f"empty {side} lung mask, cannot project the {side} side")
-    cols = np.flatnonzero(yx.any(axis=0))
-    ys, xs = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
-    zs = np.flatnonzero(lung[:, ys, xs].max(axis=(1, 2)) > 0)
-    return slice(zs[0], zs[-1] + 1), ys, xs
-
-
 def _windowed_sums(hu_box, axes, hu_lo, hu_hi) -> dict[int, np.ndarray]:
     """Float64 sums of the windowed box along each axis in ``axes``.
 
@@ -398,16 +383,17 @@ def project_case(
 
     ``ptypes`` defaults to all six, in canonical order; only the sides and
     collapse axes they name are computed. The int16 CT is windowed to
-    [hu_lo, hu_hi] HU before projection. With ``unsegmented=True`` the lung
+    [hu_lo, hu_hi] HU before projection, and only inside each lung's bounding
+    box and region, which ``lung_pair.box(side)`` found when the
+    ``segmentation.LungPair`` was made. With ``unsegmented=True`` the lung
     masks are ignored (the no-segmentation ablation): the whole truncated
     volume is projected and the "mask" is the full plane, so the right/left
     pairs coincide.
     """
     if method not in ("mip", "aip"):
         raise InvalidArgumentError(f"projection method must be mip|aip, got {method!r}")
-    lungs = {} if unsegmented else {side: lung_pair.mask(side) for side in ("right", "left")}
-    for lung in lungs.values():
-        _check_lung_dims(ct, lung)
+    if not unsegmented:
+        _check_lung_dims(ct, lung_pair.labels)
     require_hu(ct, "project_case")
     require_window(hu_lo, hu_hi, "project_case")
     ptypes = tuple(ptypes)
@@ -417,12 +403,11 @@ def project_case(
         side_planes = {"right": planes, "left": planes}
     else:
         side_planes = {}
-        for side, lung in lungs.items():
+        for side in ("right", "left"):
             axes = sorted({ptype.axis for ptype in ptypes if ptype.side == side})
             if not axes:
                 continue
-            box = lung_box(lung.voxels, side)
-            fg = lung.voxels[box] > 0
+            box, fg = lung_pair.box(side)
             masked = np.where(fg, ct.voxels[box], np.int16(hu_lo))
             side_planes[side] = _planes(masked, fg, box, ct.dims, axes, method, hu_lo, hu_hi)
     return [crop_resize_to_canvas(*side_planes[ptype.side][ptype.axis], ptype, canvas) for ptype in ptypes]

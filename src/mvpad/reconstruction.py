@@ -42,8 +42,8 @@ from .errors import (
     OverlapError,
 )
 from .memory_bank import AnomalyMap2D
-from .projection import ProjectedMask, ProjectionGeometry, ProjectionType, bilinear_sample, lung_box
-from .segmentation import LungPair
+from .projection import ProjectedMask, ProjectionGeometry, ProjectionType, bilinear_sample
+from .segmentation import LungPair, _as_foreground
 from .volume import checked_spacing, freeze_array, mark_readonly
 
 DEFAULT_PERCENTILE_Q = 50.0
@@ -327,22 +327,20 @@ def restore_in_lung_boxes(
     """The final fused volume of both lungs, computed inside each lung's bounding box.
 
     ``grids`` maps each of the six projection types to its normalized canvas
-    grid and geometry. The bytes equal ``fuse_final`` of the two
-    ``fuse_per_lung`` sums of ``reverse_project`` of each grid.
+    grid and geometry. Each side's bounding box and region come from
+    ``lungs.box(side)``, found once when the ``LungPair`` was made. The bytes
+    equal ``fuse_final`` of the two ``fuse_per_lung`` sums of
+    ``reverse_project`` of each grid.
     """
-    dims = lungs.right.dims
-    boxes, regions, sums = [], [], []
+    dims = lungs.dims
+    sums = []
     for side in ("right", "left"):
-        lung = lungs.mask(side).voxels
-        box = lung_box(lung, side)
-        region = lung[box] > 0
+        box, region = lungs.box(side)
         parts = []
         for plane in _FUSION_ORDER:
             grid, geometry = grids[ProjectionType(f"{side}_{plane}")]
             norm = _normalized_plane(grid, geometry, dims, box, region, q)
             parts.append(_region_values(norm, geometry.ptype.axis, region).astype(np.float64))
-        boxes.append(box)
-        regions.append(region)
         sums.append(sum(parts).astype(np.float32))  # fuse_per_lung's order and rounding
     # fuse_final's nearest rank and max ignore value order, and its scaling is per value
     inside = np.concatenate(sums).astype(np.float64)
@@ -351,7 +349,8 @@ def restore_in_lung_boxes(
     values = np.zeros(dims, dtype=np.float32)
     union = np.zeros(dims, dtype=bool)
     start = 0
-    for box, region, part in zip(boxes, regions, sums):
+    for side, part in zip(("right", "left"), sums):
+        box, region = lungs.box(side)
         values[box][region] = scaled[start : start + part.size]
         union[box] |= region
         start += part.size
@@ -375,8 +374,7 @@ def binarize_top(volume: AnomalyVolume, pct: float = DEFAULT_BINARIZE_PCT) -> np
 
 def localization_hit(pred: np.ndarray, gt: np.ndarray) -> bool:
     """True iff the predicted and ground-truth binary volumes intersect."""
-    p = np.asarray(pred)
-    g = np.asarray(gt)
+    p, g = _as_foreground(pred), _as_foreground(gt)
     if p.shape != g.shape:
         raise DimensionMismatchError(f"pred shape {p.shape} != gt shape {g.shape}")
-    return bool(np.any((p > 0) & (g > 0)))
+    return bool(np.any(p & g))

@@ -9,12 +9,12 @@ convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import ComponentSplitError, DimensionMismatchError, EmptyMaskError
+from .errors import ComponentSplitError, DimensionMismatchError, EmptyMaskError, InvalidArgumentError
 from .volume import VALID_LABELS, Volume, mark_readonly, require_hu
 
 # 6-connectivity in 3D: faces only
@@ -23,72 +23,90 @@ _CONN6 = ndimage.generate_binary_structure(3, 1)
 THRESHOLD_BAND_HU = (-950, -500)
 _CLOSING_RADIUS = 2
 
+_SIDES = ("right", "left")  # labels 1 and 2; index() raises ValueError for any other side
+
+
+def _lung_box(labels: np.ndarray, yx_or: np.ndarray, k: int):
+    """(tight 3D box, bool region ``labels == k`` in it) of label ``k``, or None if absent.
+
+    ``yx_or`` ORs ``labels`` along z; labels 1 and 2 are distinct bits."""
+    hit = (yx_or & k) != 0
+    rows = np.flatnonzero(hit.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(hit.any(axis=0))
+    ys, xs = slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+    zs = np.flatnonzero(np.bitwise_or.reduce(labels[:, ys, xs], axis=(1, 2)) & k)
+    box = (slice(int(zs[0]), int(zs[-1]) + 1), ys, xs)
+    return box, mark_readonly(labels[box] == k)
+
 
 @dataclass(frozen=True)
 class LungPair:
-    """Binary right/left lung masks sharing the source CT grid."""
+    """Right (label 1) and left (label 2) lungs of one uint8 {0,1,2} label volume.
 
-    right: Volume
-    left: Volume
+    Each side's tight bounding box and its region in that box are found once,
+    when the pair is made. An empty side raises EmptyMaskError where it is used.
+    """
+
+    labels: Volume
+    _boxes: tuple = field(init=False, repr=False, compare=False)  # (right, left), None when empty
 
     def __post_init__(self):
-        if self.right.dims != self.left.dims:
-            raise DimensionMismatchError(
-                f"lung masks disagree on dims: {self.right.dims} vs {self.left.dims}"
-            )
-        # emptiness is legal here and rejected where a side is actually
-        # projected, so "empty left lung" surfaces as a projection error
-        if np.any((self.right.voxels > 0) & (self.left.voxels > 0)):
-            raise ComponentSplitError("right and left lung masks overlap")
+        vox = self.labels.voxels
+        if vox.dtype != np.uint8:
+            raise InvalidArgumentError(f"lung labels must be a uint8 label volume, got {vox.dtype}")
+        yx_or = np.bitwise_or.reduce(vox, axis=0)
+        object.__setattr__(self, "_boxes", tuple(_lung_box(vox, yx_or, k) for k in (1, 2)))
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.labels.dims
+
+    def box(self, side: str) -> tuple[tuple[slice, slice, slice], np.ndarray]:
+        """The side's tight 3D bounding box and its bool lung region inside that box."""
+        found = self._boxes[_SIDES.index(side)]
+        if found is None:
+            raise EmptyMaskError(f"empty {side} lung mask, cannot project the {side} side")
+        return found
 
     def mask(self, side: str) -> Volume:
-        if side == "right":
-            return self.right
-        if side == "left":
-            return self.left
-        raise ValueError(f"side must be right|left, got {side!r}")
-
-    def labeled(self) -> Volume:
-        """Recombine into a single {0,1,2} label volume."""
-        out = np.zeros(self.right.dims, dtype=np.uint8)
-        out[self.right.voxels > 0] = 1
-        out[self.left.voxels > 0] = 2
-        return Volume(out, self.right.spacing_mm)
+        """The side's full-grid {0,1} mask, a read-only uint8 view of ``labels == k``."""
+        is_side = self.labels.voxels == _SIDES.index(side) + 1
+        return Volume(mark_readonly(is_side.view(np.uint8)), self.labels.spacing_mm)
 
 
 def split_left_right(mask: Volume) -> LungPair:
-    """Split a lung mask into right/left binary volumes.
+    """Read a lung mask as a right/left LungPair.
 
-    Labeled {1,2} input passes through. Binary input is split by keeping the
-    two largest 6-connected components; the component with the smaller mean
-    x index becomes the right lung.
+    Labeled {1,2} input is kept as it is (a uint8 mask without a copy).
+    Binary input is split by keeping the two largest 6-connected components;
+    the component with the smaller mean x index becomes the right lung
+    (label 1), the other the left lung (label 2).
     """
     vox = mask.voxels
     if vox.dtype != np.uint8:  # a uint8 Volume holds only VALID_LABELS already
         unexpected = sorted(set(np.unique(vox).tolist()) - set(VALID_LABELS))
         if unexpected:
             raise ComponentSplitError(f"unexpected label values {unexpected} in mask")
-    is_right, is_left = vox == 1, vox == 2
-    has_right, has_left = bool(is_right.any()), bool(is_left.any())
+        mask = Volume(mark_readonly(vox.astype(np.uint8)), mask.spacing_mm)
+    pair = LungPair(mask)
+    has_right, has_left = (found is not None for found in pair._boxes)
     if not (has_right or has_left):
         raise EmptyMaskError("cannot split an empty mask")
-    if has_right and has_left:
-        right = mark_readonly(is_right.view(np.uint8))
-        left = mark_readonly(is_left.view(np.uint8))
-    elif has_left:
+    if has_left and not has_right:
         raise ComponentSplitError("labeled mask holds label 2 (left lung) but no label 1")
-    else:
-        labeled, n = ndimage.label(is_right, structure=_CONN6)
-        if n < 2:
-            raise ComponentSplitError(f"cannot split: found {n} connected component(s), need 2")
-        sizes = ndimage.sum_labels(np.ones_like(labeled), labeled, index=np.arange(1, n + 1))
-        keep = np.argsort(sizes)[-2:] + 1
-        mean_x = [float(np.mean(np.nonzero(labeled == k)[2])) for k in keep]
-        right_label = keep[int(np.argmin(mean_x))]
-        left_label = keep[0] if right_label == keep[1] else keep[1]
-        right = (labeled == right_label).astype(np.uint8)
-        left = (labeled == left_label).astype(np.uint8)
-    return LungPair(Volume(right, mask.spacing_mm), Volume(left, mask.spacing_mm))
+    if has_left:
+        return pair
+    labeled, n = ndimage.label(mask.voxels, structure=_CONN6)
+    if n < 2:
+        raise ComponentSplitError(f"cannot split: found {n} connected component(s), need 2")
+    sizes = ndimage.sum_labels(np.ones_like(labeled), labeled, index=np.arange(1, n + 1))
+    keep = np.argsort(sizes)[-2:] + 1
+    mean_x = [float(np.mean(np.nonzero(labeled == k)[2])) for k in keep]
+    relabel = np.zeros(n + 1, dtype=np.uint8)
+    relabel[keep[np.argsort(mean_x, kind="stable")]] = (1, 2)  # the lower mean x is the right lung
+    return LungPair(Volume(mark_readonly(relabel[labeled]), mask.spacing_mm))
 
 
 def threshold_segment_phantom(ct: Volume) -> Volume:
@@ -125,8 +143,7 @@ def threshold_segment_phantom(ct: Volume) -> Volume:
     binary = np.isin(labeled, keep)
     # blobs larger than the closing radius leave enclosed cavities; fill them
     binary = ndimage.binary_fill_holes(binary)
-    pair = split_left_right(Volume(binary.astype(np.uint8), ct.spacing_mm))
-    return pair.labeled()
+    return split_left_right(Volume(binary.astype(np.uint8), ct.spacing_mm)).labels
 
 
 def _ball(radius: int) -> np.ndarray:
@@ -136,8 +153,9 @@ def _ball(radius: int) -> np.ndarray:
 
 
 def _as_foreground(mask) -> np.ndarray:
+    """``mask > 0`` as a bool array; a bool mask is used as it is."""
     vox = mask.voxels if isinstance(mask, Volume) else np.asarray(mask)
-    return vox > 0
+    return vox if vox.dtype == np.bool_ else vox > 0
 
 
 def _overlap_counts(a, b):

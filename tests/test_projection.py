@@ -297,9 +297,9 @@ class TestProjectCase:
         """x-flipping a case (and swapping lung labels) swaps right/left outputs."""
         ct, pair = phantom
         flipped_ct = Volume(ct.voxels[:, :, ::-1], ct.spacing_mm)
-        relabeled = np.zeros_like(pair.labeled().voxels)
-        relabeled[pair.labeled().voxels[:, :, ::-1] == 1] = 2
-        relabeled[pair.labeled().voxels[:, :, ::-1] == 2] = 1
+        relabeled = np.zeros_like(pair.labels.voxels)
+        relabeled[pair.labels.voxels[:, :, ::-1] == 1] = 2
+        relabeled[pair.labels.voxels[:, :, ::-1] == 2] = 1
         flipped_pair = split_left_right(Volume(relabeled, ct.spacing_mm))
 
         orig = {img.ptype: img for img, _ in project_case(ct, pair, canvas=(64, 64))}
@@ -322,7 +322,8 @@ class TestProjectCase:
 
     def test_empty_left_lung_raises(self, phantom):
         ct, pair = phantom
-        broken = LungPair(pair.right, Volume(np.zeros(ct.dims, dtype=np.uint8), ct.spacing_mm))
+        right_only = np.where(pair.labels.voxels == 1, np.uint8(1), np.uint8(0))
+        broken = LungPair(Volume(right_only, ct.spacing_mm))
         with pytest.raises(EmptyMaskError):
             project_case(ct, broken, canvas=(64, 64))
 
@@ -365,7 +366,7 @@ class TestProjectCase:
     @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
     def test_rejects_non_int16_ct(self, phantom, dtype, unsegmented):
         ct, pair = phantom
-        bad = Volume(np.full(ct.dims, 0.5, dtype) if dtype == np.float32 else pair.labeled().voxels, ct.spacing_mm)
+        bad = Volume(np.full(ct.dims, 0.5, dtype) if dtype == np.float32 else pair.labels.voxels, ct.spacing_mm)
         assert bad.voxels.dtype == dtype
         with pytest.raises(InvalidArgumentError):
             project_case(bad, pair, canvas=(64, 64), unsegmented=unsegmented)

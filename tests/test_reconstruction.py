@@ -651,7 +651,7 @@ def face_case(phantom_maps):
         case_id="faces",
         label="abnormal",
         ct=Volume(ct, FACE_SPACING),
-        lungs=LungPair(Volume(right.astype(np.uint8), FACE_SPACING), Volume(left.astype(np.uint8), FACE_SPACING)),
+        lungs=LungPair(Volume(right.astype(np.uint8) + 2 * left.astype(np.uint8), FACE_SPACING)),
         gt=Volume(gt, FACE_SPACING),
     )
     feats = compute_case_features(case, cfg)
