@@ -11,10 +11,13 @@ canvas, optionally Gaussian-smoothed, and its maximum is the projection's
 anomaly score.
 
 Reported distances are exact float64 with a fixed summation order. The bulk
-path de-duplicates the bank, uses a k-d tree only to find each query's
-nearest entry and re-measures it directly; queries with a near-tie re-measure
-every entry within a tiny margin at once. So it agrees bit-for-bit with
-scanning every entry. Ties break to the lowest index everywhere.
+path searches an NNIndex: the bank de-duplicated and a k-d tree on it, which
+is used only to find each query's nearest entry; that entry is re-measured
+directly, and queries with a near-tie re-measure every entry within a tiny
+margin at once. So it agrees bit-for-bit with scanning every entry. Ties
+break to the lowest index everywhere. Each MemoryBank builds its index once,
+on its first scoring call (`MemoryBank.nn_index`), and every later map
+against that bank reuses it; building a bank builds no index.
 
 Banks persist as MBNK1 files in the header-line-plus-payload container of
 `volume.read_container`: payload count x feature_dim little-endian float32.
@@ -22,6 +25,7 @@ Banks persist as MBNK1 files in the header-line-plus-payload container of
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -66,6 +70,14 @@ class MemoryBank:
                 f"source_count {self.source_count} < bank size {entries.shape[0]}"
             )
         object.__setattr__(self, "entries", entries)
+
+    @functools.cached_property
+    def nn_index(self) -> NNIndex:
+        """The exact NN index over `entries`, built on first use and kept.
+
+        Threads that race on a fresh bank may each build one (Python 3.12+
+        takes no lock here); the indexes are identical, so any of them serves."""
+        return NNIndex(self.entries)
 
     @property
     def count(self) -> int:
@@ -246,56 +258,86 @@ _TIE_RTOL = 1e-9
 _TIE_ATOL = 1e-150
 
 
-def bulk_nn_distance(queries: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact nearest-entry squared distances and indices for many queries.
+class NNIndex:
+    """Exact nearest-entry search structure over one entries array.
 
     Entries with identical bytes are dropped first, keeping each first
     occurrence, and a k-d tree is built on the rest; entries that differ only
-    in the sign of a zero stay apart and tie exactly. The tree finds each
-    query's two nearest entries; the nearest is re-measured with the plain
-    elementwise sum of a full scan, so the returned float64 values equal
-    scanning every entry bit for bit. A query whose second tree distance is
-    within a tiny relative margin of the first is a possible tie: all
-    entries within that margin are re-measured at once and the smallest
-    distance wins, the lowest entry index on equal distances.
+    in the sign of a zero stay apart and tie exactly. `entries` is the array
+    the index was built from, kept so that callers can check which array an
+    index belongs to.
     """
-    q = np.ascontiguousarray(queries, dtype=np.float64)
-    e = np.ascontiguousarray(entries, dtype=np.float64)
-    if q.ndim != 2 or e.ndim != 2 or q.shape[1] != e.shape[1]:
-        raise DimensionMismatchError(f"query shape {q.shape} incompatible with entries {e.shape}")
-    if e.shape[0] < 1:
-        raise InvalidArgumentError("cannot query an empty bank")
-    if e.shape[1] < 1:
-        raise InvalidArgumentError("features must have at least one dimension")
-    if not (np.isfinite(q).all() and np.isfinite(e).all()):
-        raise InvalidArgumentError("queries and entries must be finite")
-    keep = _first_unique_rows(e)
-    eu = e[keep]
-    tree = cKDTree(eu)
-    # a missing neighbor comes back at distance inf: the second one of a
-    # one-entry bank, or every one when all squared distances overflow, in
-    # which case a full scan ties them all and picks entry 0
-    dist, near = tree.query(q, k=[1, 2])
-    overflow = np.isinf(dist[:, 0])
-    nearest = np.where(overflow, 0, near[:, 0])
-    best = _sqdist(eu[nearest], q)
-    radius = dist[:, 0] * (1.0 + _TIE_RTOL) + _TIE_ATOL
-    rows = np.flatnonzero((dist[:, 1] <= radius) & ~overflow)
-    if rows.size:
-        balls = tree.query_ball_point(q[rows], radius[rows])
-        sizes = np.fromiter(map(len, balls), dtype=np.intp, count=rows.size)
-        cand = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=sizes.sum())
-        owner = np.repeat(rows, sizes)
-        d2 = _sqdist(eu[cand], q[owner])
-        order = np.lexsort((cand, d2, owner))  # per owner: smallest d2, then lowest index
-        win = order[np.searchsorted(owner[order], rows)]
-        best[rows] = d2[win]
-        nearest[rows] = cand[win]
-    return best, keep[nearest]
+
+    def __init__(self, entries: np.ndarray):
+        e = np.ascontiguousarray(entries, dtype=np.float64)
+        if e.ndim != 2:
+            raise DimensionMismatchError(f"entries must be 2D, got shape {e.shape}")
+        if e.shape[0] < 1:
+            raise InvalidArgumentError("cannot query an empty bank")
+        if e.shape[1] < 1:
+            raise InvalidArgumentError("features must have at least one dimension")
+        if not np.isfinite(e).all():
+            raise InvalidArgumentError("entries must be finite")
+        self.entries = entries
+        self.keep = _first_unique_rows(e)
+        self.rows = e[self.keep]
+        self.tree = cKDTree(self.rows)
+
+    def query(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest-entry squared distances and original entry indices; see bulk_nn_distance."""
+        q = np.ascontiguousarray(queries, dtype=np.float64)
+        eu, tree = self.rows, self.tree
+        if q.ndim != 2 or q.shape[1] != eu.shape[1]:
+            raise DimensionMismatchError(f"query shape {q.shape} incompatible with entry dim {eu.shape[1]}")
+        if not np.isfinite(q).all():
+            raise InvalidArgumentError("queries must be finite")
+        # a missing neighbor comes back at distance inf: the second one of a
+        # one-entry bank, or every one when all squared distances overflow, in
+        # which case a full scan ties them all and picks entry 0
+        dist, near = tree.query(q, k=[1, 2])
+        overflow = np.isinf(dist[:, 0])
+        nearest = np.where(overflow, 0, near[:, 0])
+        best = _sqdist(eu[nearest], q)
+        radius = dist[:, 0] * (1.0 + _TIE_RTOL) + _TIE_ATOL
+        rows = np.flatnonzero((dist[:, 1] <= radius) & ~overflow)
+        if rows.size:
+            balls = tree.query_ball_point(q[rows], radius[rows])
+            sizes = np.fromiter(map(len, balls), dtype=np.intp, count=rows.size)
+            cand = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=sizes.sum())
+            owner = np.repeat(rows, sizes)
+            d2 = _sqdist(eu[cand], q[owner])
+            order = np.lexsort((cand, d2, owner))  # per owner: smallest d2, then lowest index
+            win = order[np.searchsorted(owner[order], rows)]
+            best[rows] = d2[win]
+            nearest[rows] = cand[win]
+        return best, self.keep[nearest]
+
+
+def bulk_nn_distance(
+    queries: np.ndarray, entries: np.ndarray, index: NNIndex | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact nearest-entry squared distances and indices for many queries.
+
+    The search runs on `index`, which must have been built from this very
+    `entries` array (checked with `is`; any other array raises
+    InvalidArgumentError). Without one, a throwaway NNIndex is built.
+    The tree finds each query's two nearest entries; the nearest is
+    re-measured with the plain elementwise sum of a full scan, so the
+    returned float64 values equal scanning every entry bit for bit. A query
+    whose second tree distance is within a tiny relative margin of the first
+    is a possible tie: all entries within that margin are re-measured at
+    once and the smallest distance wins, the lowest entry index on equal
+    distances.
+    """
+    if index is None:
+        index = NNIndex(entries)
+    elif index.entries is not entries:
+        raise InvalidArgumentError("the NN index was built from a different entries array")
+    return index.query(queries)
 
 
 def _distance_grid(test_grid: FeatureGrid, bank: MemoryBank) -> np.ndarray:
-    sqdist, _ = bulk_nn_distance(test_grid.flat(), bank.entries)
+    sqdist, _ = bulk_nn_distance(test_grid.flat(), bank.entries, bank.nn_index)
     return np.sqrt(sqdist).reshape(test_grid.grid_shape)
 
 

@@ -76,6 +76,19 @@ class LungPair:
         return Volume(mark_readonly(is_side.view(np.uint8)), self.labels.spacing_mm)
 
 
+def _component_sizes(labeled: np.ndarray) -> np.ndarray:
+    """Voxel counts of labels 1..max as float64, so argsort sees float keys."""
+    return np.bincount(labeled.ravel())[1:].astype(np.float64)
+
+
+def _mean_x(labeled: np.ndarray, box: tuple[slice, slice, slice], k: int) -> float:
+    """Mean x index of label ``k``'s voxels, counted inside its bounding box.
+
+    The integer sums are exact, so this equals the mean over the full grid."""
+    per_x = np.count_nonzero(labeled[box] == k, axis=(0, 1))
+    return float(per_x @ np.arange(box[2].start, box[2].stop)) / float(per_x.sum())
+
+
 def split_left_right(mask: Volume) -> LungPair:
     """Read a lung mask as a right/left LungPair.
 
@@ -101,9 +114,9 @@ def split_left_right(mask: Volume) -> LungPair:
     labeled, n = ndimage.label(mask.voxels, structure=_CONN6)
     if n < 2:
         raise ComponentSplitError(f"cannot split: found {n} connected component(s), need 2")
-    sizes = ndimage.sum_labels(np.ones_like(labeled), labeled, index=np.arange(1, n + 1))
-    keep = np.argsort(sizes)[-2:] + 1
-    mean_x = [float(np.mean(np.nonzero(labeled == k)[2])) for k in keep]
+    keep = np.argsort(_component_sizes(labeled))[-2:] + 1
+    boxes = ndimage.find_objects(labeled)
+    mean_x = [_mean_x(labeled, boxes[k - 1], k) for k in keep]
     relabel = np.zeros(n + 1, dtype=np.uint8)
     relabel[keep[np.argsort(mean_x, kind="stable")]] = (1, 2)  # the lower mean x is the right lung
     return LungPair(Volume(mark_readonly(relabel[labeled]), mask.spacing_mm))
@@ -133,7 +146,7 @@ def threshold_segment_phantom(ct: Volume) -> Volume:
             face_slice[axis] = face
             boundary_labels |= set(np.unique(labeled[tuple(face_slice)]).tolist())
     boundary_labels.discard(0)
-    sizes = ndimage.sum_labels(np.ones_like(labeled), labeled, index=np.arange(1, n + 1))
+    sizes = _component_sizes(labeled)
     for bl in boundary_labels:
         sizes[bl - 1] = 0
     order = np.argsort(sizes)

@@ -2,11 +2,14 @@
 
 import itertools
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from mvpad import (
     AnomalyMap2D,
@@ -15,6 +18,7 @@ from mvpad import (
     MemoryBank,
     PhantomConfig,
     ProjectionType,
+    RunConfig,
     anomaly_map,
     build_bank,
     bulk_nn_distance,
@@ -26,6 +30,7 @@ from mvpad import (
     save_bank,
     split_left_right,
 )
+from mvpad import memory_bank
 from mvpad.errors import (
     DimensionMismatchError,
     ExtractorMismatchError,
@@ -34,7 +39,15 @@ from mvpad.errors import (
     PayloadSizeError,
 )
 from mvpad.features import extract_features
-from mvpad.memory_bank import _distance_grid, _first_unique_rows, aggregate_bank, bank_filename, coreset_size
+from mvpad.memory_bank import (
+    NNIndex,
+    _distance_grid,
+    _first_unique_rows,
+    aggregate_bank,
+    bank_filename,
+    coreset_size,
+)
+from mvpad.pipeline import LoadedCase, build_banks, case_anomaly_maps, compute_case_features, parallel_map
 from mvpad.projection import ALL_PROJECTIONS, bilinear_sample
 
 PT = ProjectionType.RIGHT_AXIAL
@@ -377,11 +390,19 @@ def full_scan(queries, entries):
 
 
 def assert_matches_full_scan(queries, entries):
+    """The no-index call equals the oracle, and one index reused over two
+    query batches gives the same bits as the no-index call."""
     queries = np.asarray(queries, dtype=np.float64).reshape(-1, entries.shape[1])
     d2, idx = bulk_nn_distance(queries, entries)
     ref_d2, ref_idx = full_scan(queries, entries)
     np.testing.assert_array_equal(idx, ref_idx)
     assert d2.tobytes() == ref_d2.tobytes()
+    index = NNIndex(entries)
+    half = queries.shape[0] // 2
+    late = bulk_nn_distance(queries[half:], entries, index)
+    early = bulk_nn_distance(queries[:half], entries, index)
+    assert np.concatenate([early[0], late[0]]).tobytes() == d2.tobytes()
+    assert np.concatenate([early[1], late[1]]).tobytes() == idx.tobytes()
 
 
 NN_PROPS = settings(max_examples=60, deadline=None)
@@ -483,6 +504,108 @@ class TestBulkNNContract:
     def test_rejects_zero_width_features(self):
         with pytest.raises(InvalidArgumentError):
             bulk_nn_distance(np.zeros((2, 0)), np.zeros((3, 0)))
+
+
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """Sizes of the k-d trees memory_bank builds while the test runs."""
+    built = []
+
+    def counting_tree(data, *args, **kwargs):
+        built.append(len(data))
+        return cKDTree(data, *args, **kwargs)
+
+    monkeypatch.setattr(memory_bank, "cKDTree", counting_tree)
+    return built
+
+
+@pytest.fixture(scope="module")
+def scoring_setup():
+    """Features of five small phantom cases, two views each."""
+    cfg = RunConfig(canvas=(64, 64), projection_set="coronal-only")
+    feats = []
+    for seed in range(5):
+        ct, mask, _ = generate_case(PhantomConfig(dims=(32, 48, 48), seed=seed, vessel_count=6))
+        case = LoadedCase(case_id=f"c{seed}", label="normal", ct=ct, lungs=split_left_right(mask))
+        feats.append(compute_case_features(case, cfg))
+    return feats, cfg
+
+
+def map_bytes(maps):
+    return {ptype: (amap.pixels.tobytes(), amap.score) for ptype, amap in maps.items()}
+
+
+class TestNNIndex:
+    """Each bank builds one NN index, on first use, and scoring reuses it."""
+
+    def test_index_from_another_array_rejected(self):
+        rng = np.random.default_rng(74)
+        entries = rng.random((12, 3))
+        queries = rng.random((4, 3))
+        index = NNIndex(entries)
+        with pytest.raises(InvalidArgumentError):
+            bulk_nn_distance(queries, entries.copy(), index)
+        with pytest.raises(InvalidArgumentError):
+            bulk_nn_distance(queries, rng.random((12, 3)), index)
+        d2, idx = bulk_nn_distance(queries, entries, index)
+        ref_d2, ref_idx = full_scan(queries, entries)
+        assert d2.tobytes() == ref_d2.tobytes() and idx.tobytes() == ref_idx.tobytes()
+
+    def test_one_tree_per_in_memory_bank_over_several_cases(self, scoring_setup, tree_builds):
+        feats, cfg = scoring_setup
+        banks = build_banks(feats[:2], cfg)
+        assert tree_builds == []  # building a bank builds no index
+        for f in feats[2:]:
+            case_anomaly_maps(f, banks, cfg)
+        assert sorted(tree_builds) == sorted(_first_unique_rows(b.entries).size for b in banks.values())
+        for f in feats[2:]:
+            for ptype, bank in banks.items():
+                grid = f.grids[ptype]
+                d2, idx = bulk_nn_distance(grid.flat(), bank.entries)  # a throwaway index
+                assert _distance_grid(grid, bank).tobytes() == np.sqrt(d2).reshape(grid.grid_shape).tobytes()
+                ref_d2, ref_idx = full_scan(grid.flat(), bank.entries)
+                assert d2.tobytes() == ref_d2.tobytes() and idx.tobytes() == ref_idx.tobytes()
+
+    def test_one_tree_per_loaded_bank_with_duplicate_rows(self, phantom_bank_rows, tmp_path, tree_builds):
+        grids, raw = phantom_bank_rows
+        path = tmp_path / bank_filename(PT)
+        save_bank(build_bank(grids[:4], coreset_frac=1.0), path)
+        bank = load_bank(path)
+        unique = _first_unique_rows(bank.entries).size
+        assert unique < bank.count  # the zero background repeats
+        tree_builds.clear()
+        for grid in grids[4:]:
+            anomaly_map(grid, bank)
+        assert tree_builds == [unique]
+        for grid in grids[4:]:
+            d2, idx = bulk_nn_distance(grid.flat(), bank.entries, bank.nn_index)
+            ref_d2, ref_idx = full_scan(grid.flat(), bank.entries)
+            assert d2.tobytes() == ref_d2.tobytes() and idx.tobytes() == ref_idx.tobytes()
+        assert tree_builds == [unique]
+
+    def test_parallel_scoring_over_fresh_banks_matches_serial(self, scoring_setup):
+        feats, cfg = scoring_setup
+        runs = []
+        for jobs in (1, 2):
+            banks = build_banks(feats[:2], cfg)  # fresh banks: threads race to build each index
+            maps = parallel_map(lambda f: case_anomaly_maps(f, banks, cfg), feats[2:], jobs=jobs)
+            runs.append([map_bytes(m) for m in maps])
+        assert runs[0] == runs[1]
+
+    def test_threads_racing_on_a_fresh_bank_get_the_serial_bytes(self, phantom_bank_rows):
+        grids, raw = phantom_bank_rows
+        bank = make_bank(raw)
+        want = [np.sqrt(bulk_nn_distance(g.flat(), bank.entries)[0]).reshape(g.grid_shape) for g in grids]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:  # more threads than cores
+                futures = [pool.submit(_distance_grid, grids[i % len(grids)], bank) for i in range(12)]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        assert [g.tobytes() for g in got] == [want[i % len(grids)].tobytes() for i in range(12)]
+        assert bank.nn_index.entries is bank.entries
 
 
 class TestAnomalyMap:

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from mvpad import (
     EmptyMaskError,
@@ -90,6 +91,21 @@ class TestSplitLeftRight:
         want[2:8, 2:8, 20:28] = 2
         assert pair.labels.voxels.tobytes() == want.tobytes()
         assert not pair.labels.voxels.flags.writeable
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_binary_split_equals_full_grid_definition(self, seed):
+        # many components with tied sizes and tied mean x: the kept pair and
+        # its sides equal the full-grid sum_labels / nonzero definition
+        rng = np.random.default_rng(seed)
+        vox = (rng.random((5, 6, 9)) < 0.25).astype(np.uint8)
+        vox[0, 0, [0, 8]] = 1  # two isolated voxels, tied in size and mirrored in x
+        labeled, n = ndimage.label(vox, structure=ndimage.generate_binary_structure(3, 1))
+        sizes = ndimage.sum_labels(np.ones_like(labeled), labeled, index=np.arange(1, n + 1))
+        keep = np.argsort(sizes)[-2:] + 1
+        mean_x = [float(np.mean(np.nonzero(labeled == k)[2])) for k in keep]
+        want = np.zeros(n + 1, dtype=np.uint8)
+        want[keep[np.argsort(mean_x, kind="stable")]] = (1, 2)
+        assert split_left_right(Volume(vox)).labels.voxels.tobytes() == want[labeled].tobytes()
 
     def test_single_component_binary_raises(self):
         vox = np.zeros((6, 6, 6), dtype=np.uint8)
