@@ -11,11 +11,13 @@ fixed canvas so feature grids are comparable across cases. The crop box,
 scale, and source plane shape are kept as geometry metadata for the inverse
 mapping used during 3D reconstruction.
 
-``project_case`` produces the bytes of the reference path (``prepare_lung_volume``
-→ ``mip_project``/``aip_project``, ``project_mask``) while reading only each
+``project_case`` produces the bytes of the whole-grid definition (mask the
+CT to the lung with ``hu_lo`` outside it, ``volume.window_unit`` over the whole
+grid, ``mip_project``/``aip_project``, and the lung mask OR-ed along the axis;
+``tests/test_projection.py::reference_project_case``) while reading only each
 lung's bounding box, and without a float copy of the whole grid:
 
-- Box rule. Outside the lung's 3D bounding box every prepared voxel is the
+- Box rule. Outside the lung's 3D bounding box every masked voxel is the
   fill ``hu_lo``, which the window maps to exactly 0.0; so every ray that
   misses the box projects to 0.0 (image) and 0 (mask). The planes start as
   zeros and only the box's 2D footprint is computed.
@@ -49,10 +51,7 @@ from .volume import (
     Volume,
     freeze_array,
     mark_readonly,
-    normalize_truncated,
     require_hu,
-    require_window,
-    truncate_hu,
     window_unit,
 )
 
@@ -175,25 +174,7 @@ class ProjectedMask:
 
 
 # ---------------------------------------------------------------------------
-# Volume preparation and plane projections
-
-
-def prepare_lung_volume(ct: Volume, lung: Volume, *, hu_lo=DEFAULT_HU_LO, hu_hi=DEFAULT_HU_HI) -> Volume:
-    """Mask a CT to one lung, truncate to [hu_lo, hu_hi] HU, normalize to [0, 1].
-
-    Non-lung voxels are set to hu_lo before truncation, so they land exactly
-    at 0.0 in the normalized volume.
-    """
-    _check_lung_dims(ct, lung)
-    require_hu(ct, "prepare_lung_volume")
-    masked = np.where(lung.voxels > 0, ct.voxels, np.int16(hu_lo))
-    vol = Volume(masked, ct.spacing_mm)
-    return normalize_truncated(truncate_hu(vol, hu_lo, hu_hi), hu_lo, hu_hi)
-
-
-def prepare_unsegmented_volume(ct: Volume, *, hu_lo=DEFAULT_HU_LO, hu_hi=DEFAULT_HU_HI) -> Volume:
-    """Ablation path: truncate/normalize the whole volume, no lung masking."""
-    return normalize_truncated(truncate_hu(ct, hu_lo, hu_hi), hu_lo, hu_hi)
+# Plane projections
 
 
 def _check_unit_volume(v: Volume, op: str) -> None:
@@ -211,11 +192,6 @@ def aip_project(v: Volume, ptype: ProjectionType) -> np.ndarray:
     """Average intensity projection along the ptype's collapse axis."""
     _check_unit_volume(v, "aip_project")
     return np.mean(v.voxels, axis=ptype.axis, dtype=np.float64).astype(np.float32)
-
-
-def project_mask(mask: Volume, ptype: ProjectionType) -> np.ndarray:
-    """Logical-OR projection of a binary mask along the collapse axis."""
-    return (mask.voxels > 0).max(axis=ptype.axis).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +295,6 @@ def crop_resize_to_canvas(
 # Per-case driver
 
 
-def _check_lung_dims(ct: Volume, lung: Volume) -> None:
-    if ct.dims != lung.dims:
-        raise DimensionMismatchError(f"ct dims {ct.dims} != lung mask dims {lung.dims}")
-
-
 def _windowed_sums(hu_box, axes, hu_lo, hu_hi) -> dict[int, np.ndarray]:
     """Float64 sums of the windowed box along each axis in ``axes``.
 
@@ -392,10 +363,11 @@ def project_case(
     """
     if method not in ("mip", "aip"):
         raise InvalidArgumentError(f"projection method must be mip|aip, got {method!r}")
-    if not unsegmented:
-        _check_lung_dims(ct, lung_pair.labels)
+    if not unsegmented and ct.dims != lung_pair.labels.dims:
+        raise DimensionMismatchError(f"ct dims {ct.dims} != lung mask dims {lung_pair.labels.dims}")
     require_hu(ct, "project_case")
-    require_window(hu_lo, hu_hi, "project_case")
+    if hu_lo >= hu_hi:
+        raise InvalidArgumentError(f"project_case needs lo < hi, got lo={hu_lo}, hi={hu_hi}")
     ptypes = tuple(ptypes)
     if unsegmented:
         axes = sorted({ptype.axis for ptype in ptypes})

@@ -1,4 +1,4 @@
-"""Volume representation, container file I/O, HU truncation/normalization, manifests.
+"""Volume representation, container file I/O, the HU window, manifests.
 
 A Volume is a 3D scalar grid in z->y->x row-major order (z = axial slice
 index) with voxel spacing metadata. Three dtypes are supported:
@@ -125,16 +125,6 @@ class Volume:
         return _KIND_TO_CODE[self.voxels.dtype]
 
 
-def volumes_equal(a: Volume, b: Volume) -> bool:
-    """Bitwise equality of dims, spacing, dtype, and voxel payload."""
-    return (
-        a.dims == b.dims
-        and a.spacing_mm == b.spacing_mm
-        and a.voxels.dtype == b.voxels.dtype
-        and bool(np.array_equal(a.voxels, b.voxels))
-    )
-
-
 # ---------------------------------------------------------------------------
 # Header-line-plus-payload container (MVOL volumes, MBNK memory banks)
 
@@ -209,19 +199,13 @@ def load_volume(path) -> Volume:
 
 
 # ---------------------------------------------------------------------------
-# HU truncation and normalization
+# The HU window
 
 
 def require_hu(vol: Volume, op: str) -> None:
     """InvalidArgumentError unless ``vol`` holds int16 Hounsfield units."""
     if vol.voxels.dtype != np.int16:
         raise InvalidArgumentError(f"{op} expects an int16 HU volume, got {vol.voxels.dtype}")
-
-
-def require_window(lo, hi, op: str) -> None:
-    """InvalidArgumentError unless the HU window [lo, hi] is non-empty."""
-    if lo >= hi:
-        raise InvalidArgumentError(f"{op} needs lo < hi, got lo={lo}, hi={hi}")
 
 
 def window_unit(hu: np.ndarray, lo, hi) -> np.ndarray:
@@ -238,22 +222,6 @@ def window_unit(hu: np.ndarray, lo, hi) -> np.ndarray:
     unit /= float(hi - lo)
     np.clip(unit, 0.0, 1.0, out=unit)
     return unit.astype(np.float32)
-
-
-def truncate_hu(vol: Volume, lo: int = DEFAULT_HU_LO, hi: int = DEFAULT_HU_HI) -> Volume:
-    """Clamp every voxel into [lo, hi] HU. Idempotent."""
-    require_hu(vol, "truncate_hu")
-    require_window(lo, hi, "truncate_hu")
-    return Volume(np.clip(vol.voxels, lo, hi), vol.spacing_mm)
-
-
-def normalize_truncated(vol: Volume, lo: int = DEFAULT_HU_LO, hi: int = DEFAULT_HU_HI) -> Volume:
-    """Map HU values already truncated to [lo, hi] linearly onto [0, 1]
-    (``window_unit``). Values outside [lo, hi] are clipped, so the
-    unit-range invariant always holds."""
-    require_hu(vol, "normalize_truncated")
-    require_window(lo, hi, "normalize_truncated")
-    return Volume(mark_readonly(window_unit(vol.voxels, lo, hi)), vol.spacing_mm)
 
 
 # ---------------------------------------------------------------------------

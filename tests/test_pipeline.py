@@ -518,3 +518,22 @@ def test_top_level_exports_are_what_the_gates_and_demos_import():
     }
     assert exported == used
     assert len(exported) == 42
+
+
+def test_every_public_function_in_src_has_a_caller_in_src():
+    # a definition that only tests call belongs in the tests; the 42 top-level
+    # exports count as called through the imports in mvpad/__init__
+    defined, referenced = {}, set()
+    for path in sorted(Path(mvpad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    assert sorted(f"{module}:{name}" for name, module in defined.items() if name not in referenced) == []

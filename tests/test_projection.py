@@ -1,4 +1,4 @@
-"""Multi-view projection: plane collapse, HU preparation, crop/resize, symmetry."""
+"""Multi-view projection: plane collapse, HU windowing, crop/resize, symmetry."""
 
 import math
 import tracemalloc
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from mvpad import (
     EmptyMaskError,
@@ -30,12 +30,9 @@ from mvpad.projection import (
     crop_resize_to_canvas,
     nearest_sample,
     plane_shape,
-    prepare_lung_volume,
-    prepare_unsegmented_volume,
-    project_mask,
 )
 from mvpad.segmentation import LungPair
-from mvpad.volume import DEFAULT_HU_HI, DEFAULT_HU_LO, normalize_truncated, truncate_hu
+from mvpad.volume import DEFAULT_HU_HI, DEFAULT_HU_LO, window_unit
 
 
 def unit_volume(arr):
@@ -69,38 +66,6 @@ class TestProjectionType:
             assert ProjectionType.from_string(p.value) is p
         with pytest.raises(InvalidArgumentError):
             ProjectionType.from_string("upper_oblique")
-
-
-class TestPrepareLungVolume:
-    def test_examples(self):
-        ct = Volume(np.array([[[40, -400, -900]]], dtype=np.int16))
-        lung = Volume(np.array([[[0, 1, 1]]], dtype=np.uint8))
-        out = prepare_lung_volume(ct, lung)
-        # outside lung -> 0; -400 -> midpoint; -900 clamps to -800 -> 0
-        np.testing.assert_array_equal(out.voxels[0, 0], np.float32([0.0, 0.5, 0.0]))
-
-    def test_custom_window(self):
-        ct = Volume(np.array([[[40, -400, -1000, 200]]], dtype=np.int16))
-        lung = Volume(np.array([[[0, 1, 1, 1]]], dtype=np.uint8))
-        out = prepare_lung_volume(ct, lung, hu_lo=-1000, hu_hi=200)
-        # the non-lung fill is hu_lo, so it still maps to exactly 0
-        np.testing.assert_array_equal(out.voxels[0, 0], np.float32([0.0, 0.5, 0.0, 1.0]))
-
-    def test_dim_mismatch(self):
-        ct = Volume(np.zeros((2, 2, 2), dtype=np.int16))
-        lung = Volume(np.zeros((2, 2, 3), dtype=np.uint8))
-        with pytest.raises(DimensionMismatchError):
-            prepare_lung_volume(ct, lung)
-
-    @pytest.mark.parametrize("ct", [
-        Volume(np.full((2, 2, 2), 0.5, dtype=np.float32)),
-        Volume(np.ones((2, 2, 2), dtype=np.uint8)),
-    ])
-    def test_rejects_non_int16_ct(self, ct):
-        # a label grid or unit volume used to be cast to int16 and projected
-        lung = Volume(np.ones((2, 2, 2), dtype=np.uint8))
-        with pytest.raises(InvalidArgumentError):
-            prepare_lung_volume(ct, lung)
 
 
 class TestPlaneProjections:
@@ -175,24 +140,6 @@ class TestPlaneProjections:
     def test_mip_rejects_hu_volume(self):
         with pytest.raises(InvalidArgumentError):
             mip_project(Volume(np.zeros((2, 2, 2), dtype=np.int16)), ProjectionType.RIGHT_AXIAL)
-
-
-class TestProjectMask:
-    def test_empty_mask_projects_empty(self):
-        m = Volume(np.zeros((3, 3, 3), dtype=np.uint8))
-        assert not project_mask(m, ProjectionType.RIGHT_AXIAL).any()
-
-    def test_single_voxel_projects_to_single_pixel(self):
-        vox = np.zeros((3, 4, 5), dtype=np.uint8)
-        vox[1, 2, 3] = 1
-        out = project_mask(Volume(vox), ProjectionType.RIGHT_CORONAL)  # collapse y
-        expected = np.zeros((3, 5), dtype=np.uint8)
-        expected[1, 3] = 1
-        np.testing.assert_array_equal(out, expected)
-
-    def test_full_mask_projects_full(self):
-        m = Volume(np.ones((3, 3, 3), dtype=np.uint8))
-        assert project_mask(m, ProjectionType.RIGHT_SAGITTAL).all()
 
 
 class TestCropResize:
@@ -313,8 +260,8 @@ class TestProjectCase:
         )
         # coronal/axial planes mirror their column axis; resampling positions
         # shift by a sub-pixel amount, so compare the raw projected planes
-        prep_orig_left = prepare_lung_volume(ct, pair.mask("left"))
-        prep_flip_right = prepare_lung_volume(flipped_ct, flipped_pair.mask("right"))
+        prep_orig_left = reference_unit(ct, pair.mask("left").voxels, -800, 0)
+        prep_flip_right = reference_unit(flipped_ct, flipped_pair.mask("right").voxels, -800, 0)
         for ptype in (ProjectionType.RIGHT_CORONAL, ProjectionType.RIGHT_AXIAL):
             got = mip_project(prep_flip_right, ptype)
             want = mip_project(prep_orig_left, ptype)[:, ::-1]
@@ -345,11 +292,10 @@ class TestProjectCase:
         window bit for bit, through to the canvas images."""
         ct, pair = phantom
         for side in ("right", "left"):
-            lung = pair.mask(side)
-            fixed = Volume(np.where(lung.voxels > 0, ct.voxels, np.int16(-1000)), ct.spacing_mm)
-            want = normalize_truncated(truncate_hu(fixed))
-            got = prepare_lung_volume(ct, lung)
-            assert got.voxels.tobytes() == want.voxels.tobytes()
+            lung = pair.mask(side).voxels
+            fixed = np.clip(np.where(lung > 0, ct.voxels, np.int16(-1000)), -800, 0)
+            got = reference_unit(ct, lung, DEFAULT_HU_LO, DEFAULT_HU_HI)
+            assert got.voxels.tobytes() == window_unit(fixed, -800, 0).tobytes()
         default = project_case(ct, pair, canvas=(64, 64))
         explicit = project_case(ct, pair, canvas=(64, 64), hu_lo=DEFAULT_HU_LO, hu_hi=DEFAULT_HU_HI)
         for (a, _), (b, _) in zip(default, explicit):
@@ -385,27 +331,25 @@ class TestProjectCase:
 
 
 # ---------------------------------------------------------------------------
-# project_case against the reference path over whole-grid prepared volumes
+# project_case against the whole-grid definition, which reads no lung box
+
+
+def reference_unit(ct, lung, hu_lo, hu_hi):
+    """The whole grid windowed to unit intensities, with every voxel outside
+    ``lung`` set to ``hu_lo`` first, so it lands at exactly 0.0."""
+    return Volume(window_unit(np.where(lung, ct.voxels, np.int16(hu_lo)), hu_lo, hu_hi), ct.spacing_mm)
 
 
 def reference_project_case(ct, pair, method, canvas, unsegmented, hu_lo, hu_hi):
-    """The reference definition: prepare each side's whole unit volume, collapse
-    it with mip_project/aip_project and project_mask, then crop and resize."""
+    """The definition of project_case: window each side's masked whole grid,
+    collapse it with mip_project/aip_project, OR the lung along the same axis
+    for the mask, then crop and resize. Unsegmented, the lung is the whole grid."""
     project = mip_project if method == "mip" else aip_project
-    if unsegmented:
-        whole = prepare_unsegmented_volume(ct, hu_lo=hu_lo, hu_hi=hu_hi)
-        full = Volume(np.ones(ct.dims, dtype=np.uint8), ct.spacing_mm)
-        sides = {side: (whole, full) for side in ("right", "left")}
-    else:
-        sides = {
-            side: (prepare_lung_volume(ct, pair.mask(side), hu_lo=hu_lo, hu_hi=hu_hi), pair.mask(side))
-            for side in ("right", "left")
-        }
     out = []
     for ptype in ALL_PROJECTIONS:
-        unit, mask = sides[ptype.side]
-        img2d = np.asarray(project(unit, ptype), dtype=np.float64)
-        out.append(crop_resize_to_canvas(img2d, project_mask(mask, ptype), ptype, canvas))
+        lung = np.ones(ct.dims, dtype=bool) if unsegmented else pair.mask(ptype.side).voxels > 0
+        img2d = project(reference_unit(ct, lung, hu_lo, hu_hi), ptype)
+        out.append(crop_resize_to_canvas(img2d, lung.any(axis=ptype.axis), ptype, canvas))
     return out
 
 
@@ -488,6 +432,44 @@ def test_aip_bytes_do_not_depend_on_slab_size(phantom, monkeypatch, slab_voxels,
     monkeypatch.setattr(projection, "_SLAB_VOXELS", slab_voxels)
     got = project_case(ct, pair, method="aip", canvas=(64, 64), unsegmented=unsegmented)
     assert_same_bytes(got, reference_project_case(ct, pair, "aip", (64, 64), unsegmented, -800, 0))
+
+
+# The two claims project_case's box path rests on, over int16 HU windows
+# lo < hi up to the widest one (hi - lo = 2**16 - 1)
+INT16_WINDOWS = st.lists(st.integers(-(2**15), 2**15 - 1), min_size=2, max_size=2, unique=True).map(sorted)
+SMALL_GRIDS = arrays(np.int16, array_shapes(min_dims=3, max_dims=3, max_side=7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hu=arrays(np.int16, st.integers(1, 64)), window=INT16_WINDOWS)
+def test_window_unit_is_monotone(hu, window):
+    unit = window_unit(np.sort(hu), *window)
+    assert np.all(np.diff(unit) >= 0)
+    assert unit.min() >= 0.0 and unit.max() <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(hu=SMALL_GRIDS, window=INT16_WINDOWS)
+def test_window_unit_commutes_with_max_bit_for_bit(hu, window):
+    # the MIP half: the max runs on int16, then only the plane is windowed
+    for axis in range(3):
+        got = window_unit(hu.max(axis=axis), *window)
+        assert got.tobytes() == window_unit(hu, *window).max(axis=axis).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(hu=SMALL_GRIDS, window=INT16_WINDOWS, slab_voxels=st.integers(1, 40))
+def test_windowed_sums_over_full_length_equal_float64_mean(hu, window, slab_voxels):
+    # the AIP half: slab sums are exact, so dividing by the axis length is
+    # np.mean over the windowed grid, in float64 bytes
+    lo, hi = window
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projection, "_SLAB_VOXELS", slab_voxels)
+        sums = projection._windowed_sums(hu, (0, 1, 2), lo, hi)
+    unit = window_unit(hu, lo, hi)
+    for axis in (0, 1, 2):
+        want = np.mean(unit, axis=axis, dtype=np.float64)
+        assert (sums[axis] / hu.shape[axis]).tobytes() == want.tobytes()
 
 
 @st.composite

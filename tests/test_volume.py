@@ -15,11 +15,9 @@ from mvpad.errors import (
 from mvpad.volume import (
     CaseRecord,
     freeze_array,
-    normalize_truncated,
     read_manifest,
     resolve_manifest_path,
-    truncate_hu,
-    volumes_equal,
+    window_unit,
     write_manifest,
 )
 
@@ -69,45 +67,12 @@ class TestVolumeContainer:
         assert cast.dtype == np.float32 and cast.flags.c_contiguous and not cast.flags.writeable
 
 
-class TestTruncateNormalize:
-    def test_truncate_clamps_below(self):
-        out = truncate_hu(hu_volume([[[-1000]]]))
-        assert out.voxels[0, 0, 0] == -800
-
-    def test_truncate_keeps_interior(self):
-        out = truncate_hu(hu_volume([[[-400]]]))
-        assert out.voxels[0, 0, 0] == -400
-
-    def test_truncate_clamps_above(self):
-        out = truncate_hu(hu_volume([[[50]]]))
-        assert out.voxels[0, 0, 0] == 0
-
-    def test_truncate_idempotent(self):
-        rng = np.random.default_rng(11)
-        vol = hu_volume(rng.integers(-1500, 500, size=(5, 6, 7)))
-        once = truncate_hu(vol)
-        twice = truncate_hu(once)
-        assert volumes_equal(once, twice)
-
-    def test_normalize_endpoints_and_midpoint(self):
-        out = normalize_truncated(hu_volume([[[-800, 0, -400]]]))
-        assert out.voxels.dtype == np.float32
-        np.testing.assert_array_equal(out.voxels[0, 0], np.float32([0.0, 1.0, 0.5]))
-
-    def test_normalize_monotone(self):
-        rng = np.random.default_rng(12)
-        vals = np.sort(rng.integers(-800, 1, size=64)).astype(np.int16)
-        out = normalize_truncated(Volume(vals.reshape(1, 1, 64)))
-        assert np.all(np.diff(out.voxels[0, 0]) >= 0)
-
-    def test_truncate_rejects_inverted_window(self):
-        with pytest.raises(InvalidArgumentError):
-            truncate_hu(hu_volume([[[0]]]), lo=0, hi=0)
-
-    def test_normalize_rejects_float_input(self):
-        vol = Volume(np.zeros((1, 1, 1), dtype=np.float32))
-        with pytest.raises(InvalidArgumentError):
-            normalize_truncated(vol)
+class TestWindowUnit:
+    def test_clamps_and_maps_endpoints_and_midpoint(self):
+        hu = np.int16([-1000, -800, -400, 0, 50])
+        np.testing.assert_array_equal(window_unit(hu, -800, 0), np.float32([0.0, 0.0, 0.5, 1.0, 1.0]))
+        np.testing.assert_array_equal(window_unit(hu, -1000, 200), np.float32([0.0, 1 / 6, 0.5, 5 / 6, 0.875]))
+        assert window_unit(hu, -800, 0).dtype == np.float32
 
 
 class TestMvolIO:
@@ -125,7 +90,8 @@ class TestMvolIO:
         path = tmp_path / "v.mvol"
         save_volume(vol, path)
         back = load_volume(path)
-        assert volumes_equal(back, vol)
+        assert back.spacing_mm == vol.spacing_mm and back.voxels.dtype == vol.voxels.dtype
+        assert back.dims == vol.dims and back.voxels.tobytes() == vol.voxels.tobytes()
         # a second save of the loaded volume reproduces the file byte for byte
         path2 = tmp_path / "v2.mvol"
         save_volume(back, path2)
