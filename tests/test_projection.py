@@ -68,6 +68,61 @@ class TestProjectionType:
             ProjectionType.from_string("upper_oblique")
 
 
+class TestPrepareLungVolume:
+    """project_case windows only the lung: every other voxel on a ray is the
+    fill ``hu_lo``, which maps to exactly 0.0."""
+
+    @staticmethod
+    def right_axial(ct, labels, method, **window):
+        pair = LungPair(Volume(np.asarray(labels, dtype=np.uint8)))
+        canvas = plane_shape(ct.dims, ProjectionType.RIGHT_AXIAL)  # the crop is the whole plane
+        [(img, mask)] = project_case(ct, pair, method, canvas, ptypes=(ProjectionType.RIGHT_AXIAL,), **window)
+        return img.pixels[0], mask.pixels[0]
+
+    def test_examples(self):
+        # the right lung's box spans z 0..2 at x=1: -400 and -900 HU around a
+        # 40 HU non-lung voxel; x=0 is non-lung, x=2 the left lung
+        ct = Volume(np.array([[[40, -400, -900]], [[40, 40, 40]], [[40, -900, 40]]], dtype=np.int16))
+        labels = [[[0, 1, 2]], [[0, 0, 0]], [[0, 1, 0]]]
+        mip, mask = self.right_axial(ct, labels, "mip")
+        # outside lung -> 0; -400 -> midpoint; -900 clamps to -800 -> 0
+        np.testing.assert_array_equal(mip, np.float32([0.0, 0.5, 0.0]))
+        np.testing.assert_array_equal(mask, np.uint8([0, 1, 0]))
+        aip, _ = self.right_axial(ct, labels, "aip")
+        np.testing.assert_array_equal(aip, np.float32([0.0, 0.5 / 3, 0.0]))
+
+    def test_custom_window(self):
+        ct = Volume(
+            np.array([[[40, -400, -1000, 200, -400]], [[40] * 5], [[40, -1000, -1000, -1000, 40]]], dtype=np.int16)
+        )
+        labels = [[[0, 1, 1, 1, 2]], [[0] * 5], [[0, 1, 1, 1, 0]]]
+        mip, mask = self.right_axial(ct, labels, "mip", hu_lo=-1000, hu_hi=200)
+        # the non-lung fill is hu_lo, so it still maps to exactly 0
+        np.testing.assert_array_equal(mip, np.float32([0.0, 0.5, 0.0, 1.0, 0.0]))
+        np.testing.assert_array_equal(mask, np.uint8([0, 1, 1, 1, 0]))
+        aip, _ = self.right_axial(ct, labels, "aip", hu_lo=-1000, hu_hi=200)
+        np.testing.assert_array_equal(aip, np.float32([0.0, 0.5 / 3, 0.0, 1 / 3, 0.0]))
+
+    def test_dim_mismatch(self):
+        ct = Volume(np.zeros((2, 2, 2), dtype=np.int16))
+        for dims in ((2, 2, 3), (3, 2, 2)):
+            labels = np.ones(dims, dtype=np.uint8)
+            labels[..., -1] = 2
+            with pytest.raises(DimensionMismatchError):
+                project_case(ct, LungPair(Volume(labels)), canvas=(2, 2))
+
+    @pytest.mark.parametrize("ct", [
+        Volume(np.full((2, 2, 2), 0.5, dtype=np.float32)),
+        Volume(np.ones((2, 2, 2), dtype=np.uint8)),
+    ])
+    def test_rejects_non_int16_ct(self, ct):
+        # a unit volume or a label grid is never cast to int16 and projected
+        labels = np.ones((2, 2, 2), dtype=np.uint8)
+        labels[..., 1] = 2
+        with pytest.raises(InvalidArgumentError):
+            project_case(ct, LungPair(Volume(labels)), canvas=(2, 2))
+
+
 class TestPlaneProjections:
     def test_mip_max_of_column(self):
         v = unit_volume(np.array([0.1, 0.9]).reshape(2, 1, 1))
@@ -140,6 +195,32 @@ class TestPlaneProjections:
     def test_mip_rejects_hu_volume(self):
         with pytest.raises(InvalidArgumentError):
             mip_project(Volume(np.zeros((2, 2, 2), dtype=np.int16)), ProjectionType.RIGHT_AXIAL)
+
+
+class TestProjectMask:
+    """project_case's mask plane is the lung OR-ed along the collapse axis."""
+
+    def test_single_voxel_projects_to_single_pixel(self):
+        ct = Volume(np.full((3, 4, 5), -400, dtype=np.int16))
+        labels = np.zeros((3, 4, 5), dtype=np.uint8)
+        labels[1, 2, 3] = 1
+        labels[0, 0, 0] = 2
+        [(img, m)] = project_case(
+            ct, LungPair(Volume(labels)), canvas=(3, 4), ptypes=(ProjectionType.RIGHT_CORONAL,)
+        )  # collapse y: pixel (1, 3) of the 3x5 plane, in the crop of rows 0:3, cols 1:5
+        assert m.geometry.plane_shape == (3, 5) and m.geometry.bbox == (0, 1, 3, 5)
+        assert m.geometry.scale == 1.0
+        expected = np.zeros((3, 4), dtype=np.uint8)
+        expected[1, 2] = 1
+        np.testing.assert_array_equal(m.pixels, expected)
+        np.testing.assert_array_equal(img.pixels, expected * np.float32(0.5))
+
+    def test_full_mask_projects_full(self):
+        ct = Volume(np.full((3, 3, 3), -400, dtype=np.int16))
+        pair = LungPair(Volume(np.ones((3, 3, 3), dtype=np.uint8)))
+        right = [p for p in ALL_PROJECTIONS if p.side == "right"]
+        for _, m in project_case(ct, pair, canvas=(3, 3), ptypes=right):
+            assert m.pixels.all()
 
 
 class TestCropResize:

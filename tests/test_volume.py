@@ -5,17 +5,19 @@ import json
 import numpy as np
 import pytest
 
-from mvpad import Volume, load_volume, save_volume
+from mvpad import Volume, load_volume, project_case, save_volume
 from mvpad.errors import (
     HeaderFormatError,
     InvalidArgumentError,
     PayloadSizeError,
     UnknownDtypeError,
 )
+from mvpad.segmentation import LungPair
 from mvpad.volume import (
     CaseRecord,
     freeze_array,
     read_manifest,
+    require_hu,
     resolve_manifest_path,
     window_unit,
     write_manifest,
@@ -67,12 +69,52 @@ class TestVolumeContainer:
         assert cast.dtype == np.float32 and cast.flags.c_contiguous and not cast.flags.writeable
 
 
-class TestWindowUnit:
-    def test_clamps_and_maps_endpoints_and_midpoint(self):
+class TestTruncateNormalize:
+    """``window_unit`` truncates HU to the window, then maps it onto [0, 1]."""
+
+    def test_truncate_clamps_below(self):
+        out = window_unit(np.int16([-1000, -801, -32768]), -800, 0)
+        np.testing.assert_array_equal(out, np.float32([0.0, 0.0, 0.0]))
+
+    def test_truncate_keeps_interior(self):
+        out = window_unit(np.int16([-799, -400, -1]), -800, 0)
+        np.testing.assert_array_equal(out, np.float32([1 / 800, 0.5, 799 / 800]))
+
+    def test_truncate_clamps_above(self):
+        out = window_unit(np.int16([0, 50, 32767]), -800, 0)
+        np.testing.assert_array_equal(out, np.float32([1.0, 1.0, 1.0]))
+
+    def test_truncate_idempotent(self):
+        # truncating to the window first changes no output bit
+        rng = np.random.default_rng(11)
+        hu = rng.integers(-1500, 500, size=(5, 6, 7)).astype(np.int16)
+        for lo, hi in ((-800, 0), (-1000, 200)):
+            once = window_unit(hu, lo, hi)
+            assert window_unit(np.clip(hu, lo, hi), lo, hi).tobytes() == once.tobytes()
+
+    def test_normalize_endpoints_and_midpoint(self):
         hu = np.int16([-1000, -800, -400, 0, 50])
-        np.testing.assert_array_equal(window_unit(hu, -800, 0), np.float32([0.0, 0.0, 0.5, 1.0, 1.0]))
+        out = window_unit(hu, -800, 0)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, np.float32([0.0, 0.0, 0.5, 1.0, 1.0]))
         np.testing.assert_array_equal(window_unit(hu, -1000, 200), np.float32([0.0, 1 / 6, 0.5, 5 / 6, 0.875]))
-        assert window_unit(hu, -800, 0).dtype == np.float32
+
+    def test_normalize_monotone(self):
+        # every HU step inside the window is a distinct float32 step
+        out = window_unit(np.arange(-800, 1, dtype=np.int16), -800, 0)
+        assert np.all(np.diff(out) > 0)
+
+    def test_truncate_rejects_inverted_window(self):
+        ct = hu_volume([[[0]]])
+        pair = LungPair(Volume(np.ones((1, 1, 1), dtype=np.uint8)))
+        for lo, hi in ((0, 0), (1, 0)):
+            with pytest.raises(InvalidArgumentError):
+                project_case(ct, pair, canvas=(1, 1), hu_lo=lo, hu_hi=hi)
+
+    def test_normalize_rejects_float_input(self):
+        vol = Volume(np.zeros((1, 1, 1), dtype=np.float32))
+        with pytest.raises(InvalidArgumentError):
+            require_hu(vol, "window")
 
 
 class TestMvolIO:
